@@ -9,7 +9,7 @@ cache backend:
   *and* epoch dispatch (attack kernels yield ``AccessEpoch`` plans that
   the engine advances in bulk).
 * ``scalar``     -- the pre-epoch reference: scalar L2 backend, per-op
-  coroutine dispatch (``epoch_dispatch=False``), and the per-element
+  dispatch (``epoch_dispatch=False`` unrolls every plan), and the per-element
   Python fabric walk (the scalar backend flips
   ``Interconnect.vectorized``), the differential-test oracle.
 

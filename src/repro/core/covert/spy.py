@@ -14,21 +14,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ...errors import ChannelError
-from ...sim.ops import (
-    AccessEpoch,
-    EpochBurst,
-    EpochIdle,
-    ProbeSet,
-    ReadClock,
-    SharedStore,
-)
+from ...sim.ops import AccessEpoch, EpochBurst, EpochIdle, SharedStore
 from ..eviction import EvictionSet
 from ..timing import TimingThresholds
 from .encoding import PREAMBLE
 
 __all__ = [
     "spy_probe_kernel",
-    "spy_probe_epoch_kernel",
     "SpyTrace",
     "decode_trace",
 ]
@@ -53,51 +45,26 @@ def spy_probe_kernel(
 ):
     """Probe the set ``num_probes`` times, staging (time, latency) pairs.
 
+    The whole probe train is one :class:`AccessEpoch` advanced in bulk by
+    the engine's cursor.  Each round reads the clock, traverses the set
+    in parallel and pays for two shared-memory staging stores (two idle
+    windows, not one doubled one: float addition is not associative and
+    the clock must match the per-op expansion bit-for-bit).
+
+    Each sample is stamped with the probe's *start* time: a probe
+    straddling a slot boundary observes the state left by the earlier
+    slot, so it must be attributed to the slot it started in.  The
+    traversal is summarized by its *median* per-line latency: a prime
+    leaves all lines missing (median ~ remote miss), while transient
+    port/NVLink queueing inflates only a few lines and cannot drag the
+    median of a hit traversal over the threshold.
+
     The shared-memory staging region is a ring: the paper drains it to
     global memory with helper threads; here the host reads the returned
-    trace, which models the same data path without the copy traffic.
-    """
-    times: List[float] = []
-    latencies: List[float] = []
-    stage_slots = len(shared_times.data) - stage_base
-    stage_slots = max(2, stage_slots - stage_slots % 2)
-    cursor = 0
-    for _ in range(num_probes):
-        # Stamp each sample with the probe's *start* time: a probe straddling
-        # a slot boundary observes the state left by the earlier slot, so it
-        # must be attributed to the slot it started in.
-        now = yield ReadClock()
-        probe = yield ProbeSet(eviction_set.buffer, eviction_set.indices, parallel=True)
-        # Summarize the traversal by its *median* per-line latency: a prime
-        # leaves all lines missing (median ~ remote miss), while transient
-        # port/NVLink queueing inflates only a few lines and cannot drag
-        # the median of a hit traversal over the threshold.
-        ordered = sorted(probe.latencies)
-        median = ordered[len(ordered) // 2]
-        yield SharedStore(shared_times, stage_base + cursor % stage_slots, now)
-        yield SharedStore(shared_times, stage_base + (cursor + 1) % stage_slots, median)
-        cursor = (cursor + 2) % stage_slots
-        times.append(now)
-        latencies.append(median)
-    return SpyTrace(times=times, latencies=latencies)
-
-
-def spy_probe_epoch_kernel(
-    eviction_set: EvictionSet,
-    num_probes: int,
-    shared_times,
-    stage_base: int = 0,
-):
-    """Epoch-native :func:`spy_probe_kernel`: the whole probe train is one
-    :class:`AccessEpoch` advanced in bulk by the engine's cursor.
-
-    Each round is one parallel traversal plus two idle windows standing in
-    for the staging stores' cost (two separate segments, not one doubled
-    one: float addition is not associative and the clocks of both kernels
-    must agree bit-for-bit).  The staging ring itself is replayed from the
-    recorded outcome after the epoch completes -- shared memory is private
-    to the block, so only its final contents are observable, and they are
-    identical to what the scalar kernel leaves behind.
+    trace, which models the same data path without the copy traffic.  The
+    ring is replayed from the recorded outcome after the epoch completes
+    -- shared memory is private to the block, so only its final contents
+    are observable.
     """
     stage_slots = len(shared_times.data) - stage_base
     stage_slots = max(2, stage_slots - stage_slots % 2)

@@ -11,18 +11,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ...sim.ops import (
-    AccessEpoch,
-    Compute,
-    EpochBurst,
-    EpochIdle,
-    EpochRepeat,
-    ProbeSet,
-    ReadClock,
-)
+from ...sim.ops import AccessEpoch, EpochBurst, EpochIdle, EpochRepeat
 from ..eviction import EvictionSet
 
-__all__ = ["trojan_send_kernel", "trojan_send_epoch_kernel"]
+__all__ = ["trojan_send_kernel"]
 
 #: Safety margin before the slot edge after which no new prime is issued.
 #: A prime *started* before the edge evicts the spy's lines within the
@@ -41,48 +33,14 @@ def trojan_send_kernel(
 ):
     """Transmit ``bits`` over one aligned set, one bit per slot.
 
-    Slot boundaries are anchored to the kernel's start time so that slot
-    ``i`` spans ``[start + i*slot, start + (i+1)*slot)`` with no cumulative
-    drift -- the sender-side "controlling parameters that control the
-    priming of the cache set".
-    """
-    start = yield ReadClock()
-    sent = 0
-    for position, bit in enumerate(bits):
-        slot_end = start + (position + 1) * slot_cycles
-        if bit:
-            while True:
-                now = yield ReadClock()
-                if now + _PRIME_MARGIN_CYCLES > slot_end:
-                    break
-                yield ProbeSet(
-                    eviction_set.buffer, eviction_set.indices, parallel=True
-                )
-        # Wait out the slot remainder with dummy compute (never memory).
-        while True:
-            now = yield ReadClock()
-            remaining = slot_end - now
-            if remaining <= 0:
-                break
-            yield Compute(min(remaining, _WAIT_CHUNK_CYCLES))
-        sent += 1
-    return sent
-
-
-def trojan_send_epoch_kernel(
-    eviction_set: EvictionSet,
-    bits: Sequence[int],
-    slot_cycles: float,
-):
-    """Epoch-native :func:`trojan_send_kernel`: the whole frame is one
-    declarative :class:`AccessEpoch` plan.
-
-    A '1' slot is an :class:`EpochRepeat` (prime until the margin would
-    overrun the slot edge, the scalar loop's exact guard); every slot ends
-    with an :class:`EpochIdle` whose ``chunk`` reproduces the scalar wait
-    loop's 200-cycle accumulation bit-for-bit.  Slot edges are offsets from
-    the epoch's start, which is the same clock value the scalar kernel's
-    opening ``ReadClock`` observes.
+    The whole frame is one declarative :class:`AccessEpoch` plan.  Slot
+    edges are offsets from the epoch's start (its opening clock read), so
+    slot ``i`` spans ``[start + i*slot, start + (i+1)*slot)`` with no
+    cumulative drift -- the sender-side "controlling parameters that
+    control the priming of the cache set".  A '1' slot is an
+    :class:`EpochRepeat` that primes until the next prime could overrun
+    the slot edge; every slot ends with an :class:`EpochIdle` that waits
+    out the remainder in 200-cycle dummy-compute chunks (never memory).
     """
     burst = EpochBurst(
         eviction_set.buffer,

@@ -12,7 +12,6 @@ parameter here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,15 +19,7 @@ import numpy as np
 from ...errors import AttackError
 from ...runtime.api import Runtime
 from ...sim.epoch import epochify
-from ...sim.ops import (
-    AccessEpoch,
-    Compute,
-    EpochBurst,
-    EpochOutcome,
-    ProbeEpoch,
-    ProbeSet,
-    ReadClock,
-)
+from ...sim.ops import AccessEpoch, Compute, EpochBurst, EpochOutcome
 from ...sim.process import Process
 from ..eviction import (
     EvictionSet,
@@ -42,101 +33,10 @@ from ..timing import TimingThresholds, measure_access_classes
 from ...workloads.base import Workload
 from .memorygram import Memorygram
 
-__all__ = ["MemorygramProber", "ProbeSample"]
-
-
-@dataclass(frozen=True)
-class ProbeSample:
-    """One probe of one set: the monitored row, start time and per-line
-    latencies.  Hit/miss classification happens at assembly time against a
-    *trace-adaptive* threshold: the spy's own probe traffic inflates every
-    latency under load, so a quiet-box threshold would misread loaded hits
-    as misses (the same drift the covert-channel decoder corrects)."""
-
-    row: int
-    time: float
-    latencies: Tuple[float, ...]
+__all__ = ["MemorygramProber"]
 
 
 def _prober_block_kernel(
-    sets_chunk: Sequence[Tuple[int, EvictionSet]],
-    end_time: float,
-    samples: List[ProbeSample],
-    victim_done: List[object],
-    grace_cycles: float,
-    sweep_period: float,
-    phase_offset: float,
-    epoch_probe: bool = True,
-) -> Generator:
-    """One spy thread block cycling Prime+Probe over its chunk of sets.
-
-    ``sweep_period`` paces the sampling: probing flat-out would sample each
-    set several times per memorygram bin for no extra information (the bin
-    only keeps a count), so the block idles in dummy compute between sweeps
-    -- the "balance sampling coverage and the speed of the attack" knob of
-    Section V-B.
-
-    With ``epoch_probe`` a whole sweep is one :class:`ProbeEpoch` (the
-    block pipelines its sets back-to-back and syncs once), so the sweep is
-    a single batched call against the hardware model; per-set sample
-    times come from the epoch's start offsets.  The per-set
-    :class:`ProbeSet` path remains for probe buffers spread over multiple
-    allocations.
-    """
-    # Epoch probing needs all monitored sets inside one probe buffer (the
-    # prober allocates exactly one); otherwise fall back to per-set probes.
-    epoch_ok = epoch_probe and len(
-        {id(eviction_set.buffer) for _row, eviction_set in sets_chunk}
-    ) == 1
-    epoch_buffer = sets_chunk[0][1].buffer if sets_chunk else None
-    epoch_sets = tuple(
-        tuple(eviction_set.indices) for _row, eviction_set in sets_chunk
-    )
-    # Warm-up prime: fill every monitored set with spy lines.
-    if epoch_ok:
-        yield ProbeEpoch(epoch_buffer, epoch_sets, parallel=True)
-    else:
-        for _row, eviction_set in sets_chunk:
-            yield ProbeSet(eviction_set.buffer, eviction_set.indices, parallel=True)
-    if phase_offset > 0:
-        # Stagger the blocks' sweep phases so their probe bursts do not
-        # all hit the NVLink at the same instant.
-        yield Compute(phase_offset)
-    stop_at: Optional[float] = None
-    while True:
-        sweep_start = yield ReadClock()
-        if sweep_start >= end_time:
-            break
-        if victim_done and stop_at is None:
-            stop_at = sweep_start + grace_cycles
-        if stop_at is not None and sweep_start >= stop_at:
-            break
-        if epoch_ok:
-            epoch = yield ProbeEpoch(epoch_buffer, epoch_sets, parallel=True)
-            for (row, _eviction_set), start, latencies in zip(
-                sets_chunk, epoch.set_starts, epoch.set_latencies
-            ):
-                samples.append(
-                    ProbeSample(
-                        row=row, time=sweep_start + start, latencies=latencies
-                    )
-                )
-        else:
-            for row, eviction_set in sets_chunk:
-                start = yield ReadClock()
-                probe = yield ProbeSet(
-                    eviction_set.buffer, eviction_set.indices, parallel=True
-                )
-                samples.append(
-                    ProbeSample(row=row, time=start, latencies=tuple(probe.latencies))
-                )
-        now = yield ReadClock()
-        remaining = sweep_period - (now - sweep_start)
-        if remaining > 0:
-            yield Compute(remaining)
-
-
-def _prober_block_epoch_kernel(
     sets_chunk: Sequence[Tuple[int, EvictionSet]],
     end_time: float,
     records: List[Tuple[List[int], EpochOutcome]],
@@ -145,27 +45,32 @@ def _prober_block_epoch_kernel(
     sweep_period: float,
     phase_offset: float,
 ) -> Generator:
-    """Epoch-native :func:`_prober_block_kernel`: the whole sweep loop is
-    one unbounded :class:`AccessEpoch` advanced in bulk by the engine's
-    cursor.
+    """One spy thread block cycling Prime+Probe over its chunk of sets.
 
-    One round = one multi-set burst; ``period`` reproduces the scalar
-    loop's pacing arithmetic, ``end_time``/``stop_flag``/``grace_cycles``
-    its termination checks, in the same order and at the same clock values
-    (the cursor re-checks the stop flag only once foreign events up to the
-    round's start have landed, so it observes the victim's completion
-    exactly when the scalar loop's ``ReadClock`` would).  The recorded
-    outcome lands in ``records`` for columnar assembly.
+    The block pipelines its sets back-to-back and syncs once per sweep,
+    so one sweep is one multi-set burst and the whole sweep loop is one
+    unbounded :class:`AccessEpoch` advanced in bulk by the engine's
+    cursor.  Each round reads the clock and stops at ``end_time``, or
+    ``grace_cycles`` after it first sees ``victim_done`` set.
+    ``sweep_period`` paces the sampling: probing flat-out would sample
+    each set several times per memorygram bin for no extra information
+    (the bin only keeps a count), so the block idles in dummy compute
+    between sweeps -- the "balance sampling coverage and the speed of the
+    attack" knob of Section V-B.  The recorded outcome lands in
+    ``records`` for columnar assembly; per-set sample times come from the
+    burst starts plus the layout's set offsets.
     """
     burst = EpochBurst(
         sets_chunk[0][1].buffer,
         tuple(tuple(eviction_set.indices) for _row, eviction_set in sets_chunk),
         parallel=True,
     )
-    # Warm-up prime: fill every monitored set with spy lines.  The scalar
-    # twin's warm-up probe is its first op -- no clock read precedes it.
+    # Warm-up prime: fill every monitored set with spy lines.  No clock
+    # read precedes it.
     yield AccessEpoch((burst,), rounds=1, record=False, round_reads=0)
     if phase_offset > 0:
+        # Stagger the blocks' sweep phases so their probe bursts do not
+        # all hit the NVLink at the same instant.
         yield Compute(phase_offset)
     outcome = yield AccessEpoch(
         (burst,),
@@ -372,6 +277,17 @@ class MemorygramProber:
         if not self.eviction_sets:
             raise AttackError("prober not set up: call setup() first")
         assert self.process is not None and self.thresholds is not None
+        chunks = [
+            list(enumerate(self.eviction_sets))[at : at + sets_per_block]
+            for at in range(0, len(self.eviction_sets), sets_per_block)
+        ]
+        # One block's sweep is one burst over one probe buffer (the
+        # prober allocates exactly one).
+        for chunk in chunks:
+            if len({id(eviction_set.buffer) for _row, eviction_set in chunk}) > 1:
+                raise AttackError(
+                    "a prober block's eviction sets must share one probe buffer"
+                )
         runtime = self.runtime
         metrics = getattr(runtime, "metrics", None)
         if metrics is not None:
@@ -379,27 +295,13 @@ class MemorygramProber:
 
         start = runtime.engine.now
         end_time = start + max_duration_cycles
-        samples: List[ProbeSample] = []
         records: List[Tuple[List[int], EpochOutcome]] = []
         victim_done: List[object] = []
-
-        chunks = [
-            list(enumerate(self.eviction_sets))[at : at + sets_per_block]
-            for at in range(0, len(self.eviction_sets), sets_per_block)
-        ]
         sweep_period = sweep_period_bins * bin_cycles
-        # Epoch dispatch (the default) runs each block as one cursor-driven
-        # AccessEpoch; the scalar kernel remains as the per-op differential
-        # oracle.  Epoch probing needs all of a chunk's sets inside one
-        # probe buffer (the prober allocates exactly one).
-        use_epochs = getattr(runtime, "epoch_dispatch", True) and all(
-            len({id(eviction_set.buffer) for _row, eviction_set in chunk}) == 1
-            for chunk in chunks
-        )
         for block_index, chunk in enumerate(chunks):
             phase_offset = block_index * sweep_period / max(1, len(chunks))
-            if use_epochs:
-                kernel = _prober_block_epoch_kernel(
+            runtime.launch(
+                _prober_block_kernel(
                     chunk,
                     end_time,
                     records,
@@ -407,19 +309,7 @@ class MemorygramProber:
                     grace_cycles,
                     sweep_period,
                     phase_offset=phase_offset,
-                )
-            else:
-                kernel = _prober_block_kernel(
-                    chunk,
-                    end_time,
-                    samples,
-                    victim_done,
-                    grace_cycles,
-                    sweep_period,
-                    phase_offset=phase_offset,
-                )
-            runtime.launch(
-                kernel,
+                ),
                 self.spy_gpu,
                 self.process,
                 name=f"memorygram_block_{block_index}",
@@ -429,13 +319,10 @@ class MemorygramProber:
         if victim is not None:
             victim_process = runtime.create_process(victim_process_name)
             victim.allocate(runtime, victim_process, self.victim_gpu)
-            victim_kernel = victim.kernel()
-            if use_epochs:
-                # Result-blind trace victims collapse into one unrecorded
-                # epoch; kernels yielding richer ops replay verbatim.
-                victim_kernel = epochify(victim_kernel)
+            # Result-blind trace victims collapse into one unrecorded
+            # epoch; kernels yielding richer ops replay verbatim.
             runtime.launch(
-                _victim_wrapper(victim_kernel, victim_done),
+                _victim_wrapper(epochify(victim.kernel()), victim_done),
                 self.victim_gpu,
                 victim_process,
                 name=f"victim_{victim.name}",
@@ -445,12 +332,8 @@ class MemorygramProber:
             victim_done.append(True)  # idle recording: stop after grace
 
         runtime.synchronize()
-        if use_epochs:
-            return self._assemble_epochs(
-                records, start, bin_cycles, trim_quiet_tail=trim_quiet_tail
-            )
-        return self._assemble(
-            samples, start, bin_cycles, trim_quiet_tail=trim_quiet_tail
+        return self._assemble_epochs(
+            records, start, bin_cycles, trim_quiet_tail=trim_quiet_tail
         )
 
     # ------------------------------------------------------------------
@@ -479,13 +362,14 @@ class MemorygramProber:
         bin_cycles: float,
         trim_quiet_tail: bool,
     ) -> Memorygram:
-        """Columnar counterpart of :meth:`_assemble` over epoch outcomes.
+        """Bin the blocks' recorded outcomes into a memorygram.
 
-        Bit-identical to the scalar path: per-set sample times are the
-        same two-float sums (``burst start + set start offset``), the
-        pooled percentile sees the same latency multiset, and the bin
-        index truncation matches ``int()`` (times never precede
-        ``start``).
+        A set's sample time is its burst start plus its issue offset in
+        the burst.  Hit/miss classification happens here, against a
+        *trace-adaptive* threshold: the spy's own probe traffic inflates
+        every latency under load, so a quiet-box threshold would misread
+        loaded hits as misses (the same drift the covert-channel decoder
+        corrects).
         """
         live = [
             (rows, outcome)
@@ -521,31 +405,4 @@ class MemorygramProber:
             alive = np.nonzero(activity > 0)[0]
             if alive.size:
                 grid = grid[:, : int(alive[-1]) + 1]
-        return Memorygram(data=grid, bin_cycles=bin_cycles, start_time=start)
-
-    def _assemble(
-        self,
-        samples: Sequence[ProbeSample],
-        start: float,
-        bin_cycles: float,
-        trim_quiet_tail: bool,
-    ) -> Memorygram:
-        if not samples:
-            raise AttackError("no probe samples recorded")
-        assert self.thresholds is not None
-        pooled = np.concatenate([np.asarray(s.latencies) for s in samples])
-        threshold = self._adaptive_threshold(pooled)
-        last = max(sample.time for sample in samples)
-        num_bins = int((last - start) / bin_cycles) + 1
-        grid = np.zeros((len(self.eviction_sets), num_bins), dtype=np.int64)
-        for sample in samples:
-            bin_index = int((sample.time - start) / bin_cycles)
-            grid[sample.row, bin_index] += int(
-                sum(1 for lat in sample.latencies if lat > threshold)
-            )
-        if trim_quiet_tail:
-            activity = grid.sum(axis=0)
-            live = np.nonzero(activity > 0)[0]
-            if live.size:
-                grid = grid[:, : int(live[-1]) + 1]
         return Memorygram(data=grid, bin_cycles=bin_cycles, start_time=start)

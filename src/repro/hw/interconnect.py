@@ -611,30 +611,6 @@ class Interconnect:
         """Latest busy-until stamp per link (raw lane state)."""
         return {edge: max(lanes) for edge, lanes in self._busy.items()}
 
-    def link_utilization(
-        self,
-        window_cycles: float,
-        since: Optional[Dict[Edge, float]] = None,
-    ) -> Dict[Edge, float]:
-        """Deprecated spelling of :meth:`utilization`.
-
-        .. deprecated:: the old zero-argument form returned raw
-           busy-until *timestamps* despite the name; that behaviour lives
-           on as :meth:`link_busy_until`.  This wrapper now computes a
-           real windowed utilization fraction and warns so remaining
-           callers migrate to :meth:`utilization`.
-        """
-        import warnings
-
-        warnings.warn(
-            "Interconnect.link_utilization() is deprecated: call "
-            "utilization(window_cycles) for the windowed fraction, or "
-            "link_busy_until() for raw lane busy-until stamps",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.utilization(window_cycles, since=since)
-
     def busy_cycles(self) -> Dict[Edge, float]:
         """Cumulative lane-occupancy cycles charged per link."""
         return dict(self._busy_cycles)

@@ -16,6 +16,7 @@ from ..config import DGXSpec
 from ..errors import AllocationError, PeerAccessError
 from ..hw.system import MultiGPUSystem
 from ..sim.engine import Engine, StreamHandle
+from ..sim.epoch import unroll
 from ..sim.process import WORD_BYTES, DeviceBuffer, Process
 
 __all__ = ["Runtime"]
@@ -33,10 +34,12 @@ class Runtime:
     ) -> None:
         self.system = system if system is not None else MultiGPUSystem(spec, seed=seed)
         self.engine = Engine(self.system)
-        #: When set (the default), attack kernels built on this runtime
-        #: declare :class:`~repro.sim.ops.AccessEpoch` plans and the engine
-        #: advances them in bulk; ``False`` keeps every kernel on the
-        #: per-op coroutine path -- the differential-test oracle.
+        #: When set (the default), the engine advances the
+        #: :class:`~repro.sim.ops.AccessEpoch` / ``LinkEpoch`` plans that
+        #: attack kernels declare in bulk; ``False`` launches every kernel
+        #: through :func:`~repro.sim.epoch.unroll`, which expands each plan
+        #: into per-op dispatch -- the differential-test oracle.  The only
+        #: place that knows the dispatch mode.
         self.epoch_dispatch = epoch_dispatch
         #: Nullable observability hooks, set by
         #: :func:`repro.telemetry.metrics.attach_metrics` /
@@ -108,6 +111,7 @@ class Runtime:
         # once the frames are back in the allocator a stale plan would
         # let a probe land on whatever buffer gets the frames next.
         self.system.invalidate_epoch_plans(buffer)
+        buffer.release()
         buffer.process.buffers.remove(buffer)
 
     def enable_peer_access(self, process: Process, from_gpu: int, to_gpu: int) -> None:
@@ -137,6 +141,8 @@ class Runtime:
         start: Optional[float] = None,
     ) -> StreamHandle:
         """Launch one thread block's kernel stream (asynchronous)."""
+        if not self.epoch_dispatch:
+            kernel = unroll(kernel, self.engine, gpu_id, process)
         return self.engine.launch(
             kernel, gpu_id, process, name=name, shared_mem=shared_mem, start=start
         )

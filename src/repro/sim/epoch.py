@@ -10,7 +10,7 @@ hardware cores until the next foreign event (another stream's op, the
 ``run(until=...)`` horizon, or a scheduled fault) would interleave, then
 suspends with the stream re-queued at its advanced clock.
 
-Ordering stays identical to scalar dispatch because bursts execute
+Ordering stays identical to per-op dispatch because bursts execute
 atomically at their start time (the atomic-probe convention): the cursor
 services a burst only while its start precedes every other pending
 event, so the global op-start order -- the only order the convention
@@ -18,6 +18,11 @@ defines -- is unchanged.  Chaos faults are fences: the resume deadline
 is capped at the injector's next due time, so a burst starting after a
 scheduled fault is serviced only after the fault lands.  Telemetry fires
 once per resume (epoch boundaries), not per access.
+
+:func:`unroll` is the differential oracle: it expands each plan into the
+per-op stream (``ReadClock``, ``ProbeSet``/``ProbeEpoch``, ``LinkProbe``,
+``Compute``/``Sleep``) whose event order the cursors reproduce, and runs
+every kernel of a runtime launched with per-op dispatch.
 """
 
 from __future__ import annotations
@@ -41,18 +46,26 @@ from .ops import (
     LinkFlood,
     LinkOutcome,
     LinkPad,
+    LinkProbe,
     ProbeEpoch,
     ProbeSet,
+    ReadClock,
     Sleep,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hw.system import MultiGPUSystem
-    from .engine import StreamHandle
+    from .engine import Engine, StreamHandle
+    from .process import Process
 
-__all__ = ["EpochCursor", "LinkEpochCursor", "epochify"]
+__all__ = ["EpochCursor", "LinkEpochCursor", "epochify", "unroll"]
 
 _INF = float("inf")
+
+_LAYOUT_MISMATCH = (
+    "recorded epoch bursts must share one set layout; "
+    "use record=False for heterogeneous plans"
+)
 
 
 class EpochCursor:
@@ -89,10 +102,11 @@ class EpochCursor:
         #: already suspended once, so the resume completes it (progress
         #: guarantee) instead of pausing again.
         self.idle_pause = None
-        #: Zero-latency clock reads the scalar twin has pending before its
-        #: next resource op, and the start time of its last clock-advancing
-        #: op -- together the FIFO tie key the scalar engine would have
-        #: assigned this stream's queued event (see Engine._push).
+        #: Zero-latency clock reads the unrolled stream has pending before
+        #: its next resource op, and the start time of its last
+        #: clock-advancing op -- together the FIFO tie key per-op dispatch
+        #: would have assigned this stream's queued event (see
+        #: Engine._push).
         self.lead = 0
         self.last_advance = begin
         self.key_lead = 0
@@ -126,7 +140,7 @@ class EpochCursor:
 
         A burst may start exactly at ``deadline`` only if nothing was
         serviced yet this resume: the stream was popped first at that
-        time, so it owns the tie -- exactly the scalar engine's FIFO
+        time, so it owns the tie -- exactly the per-op engine's FIFO
         tie-break, where the re-pushed op would get a later sequence
         number than the already-queued foreign event.
         """
@@ -141,7 +155,7 @@ class EpochCursor:
         segments = op.segments
         num_segments = len(segments)
         service = self._service
-        # ``lead``/``last_advance`` mirror the scalar twin's event-queue
+        # ``lead``/``last_advance`` mirror the unrolled stream's event-queue
         # footprint: how many zero-latency clock reads it has pending, and
         # when its last clock-advancing op started (= when its queued heap
         # entry was pushed).  They become the suspension tie key so that
@@ -154,7 +168,7 @@ class EpochCursor:
                 # stop flag), so they run only while this stream still owns
                 # the simulation clock -- past the deadline the cursor
                 # suspends and re-checks after the foreign event has landed,
-                # exactly when the scalar loop would re-check.
+                # exactly when the unrolled loop would re-check.
                 if clock >= deadline and (serviced or clock > entry):
                     return self._suspend(
                         clock, lead, lead + op.round_reads, last_advance
@@ -183,11 +197,7 @@ class EpochCursor:
                         return self._suspend(clock, lead, lead, last_advance)
                     start = clock
                     clock = start + service(seg, start)
-                    if seg.post_cycles:
-                        last_advance = clock
-                        clock += seg.post_cycles
-                    else:
-                        last_advance = start
+                    last_advance = start
                     lead = 0
                     serviced = True
                 elif kind is EpochIdle:
@@ -201,12 +211,12 @@ class EpochCursor:
                         if chunk is None:
                             if target > clock:
                                 last_advance = clock
-                                clock = target
+                                clock += target - clock
                                 lead = 0
                         else:
-                            # Step like the scalar wait loop so the two
-                            # backends' clocks agree bit-for-bit; each
-                            # evaluation is one clock read in the twin.
+                            # Step like the per-op wait loop so the two
+                            # dispatch modes' clocks agree bit-for-bit; each
+                            # evaluation is one clock read when unrolled.
                             here = (self.round_index, self.seg_index)
                             while True:
                                 lead += 1
@@ -214,7 +224,7 @@ class EpochCursor:
                                 if remaining <= 0:
                                     break
                                 if remaining <= chunk and self.idle_pause != here:
-                                    # Final chunk: the twin pushes its last
+                                    # Final chunk: the unroll pushes its last
                                     # wait Compute here, and that push's FIFO
                                     # slot is what decides pop order when
                                     # several streams re-converge on a common
@@ -233,9 +243,8 @@ class EpochCursor:
                 elif kind is EpochRepeat:
                     burst = seg.burst
                     target = self.round_start + seg.until
-                    post = burst.post_cycles
                     while True:
-                        lead += 1  # the twin's margin-check clock read
+                        lead += 1  # the margin-check clock read
                         if clock + seg.margin > target:
                             break
                         if clock >= deadline and (serviced or clock > entry):
@@ -244,11 +253,7 @@ class EpochCursor:
                             return self._suspend(clock, lead - 1, lead, last_advance)
                         start = clock
                         clock = start + service(burst, start)
-                        if post:
-                            last_advance = clock
-                            clock += post
-                        else:
-                            last_advance = start
+                        last_advance = start
                         lead = 0
                         serviced = True
                 else:
@@ -257,7 +262,7 @@ class EpochCursor:
                     )
                 self.seg_index += 1
             if op.period is not None:
-                # ``period - elapsed`` then add: the scalar path's pacing
+                # ``period - elapsed`` then add: the unrolled pacing
                 # arithmetic, kept verbatim for bitwise clock equality.  A
                 # round-read kernel reads the clock to compute the pad.
                 if op.round_reads:
@@ -314,10 +319,7 @@ class EpochCursor:
                     burst.buffer, burst.sets, burst.parallel, burst.issue_gap
                 )
             elif count != (len(self._lats[0]) if self._lats else count):
-                raise SimulationError(
-                    "recorded epoch bursts must share one set layout; "
-                    "use record=False for heterogeneous plans"
-                )
+                raise SimulationError(_LAYOUT_MISMATCH)
             self._starts.append(clock)
             self._lats.append(latencies)
             self._hits.append(hits)
@@ -326,36 +328,9 @@ class EpochCursor:
 
     def take_outcome(self) -> EpochOutcome:
         """Assemble the columnar result (call once, after completion)."""
-        if self._layout is not None:
-            counts, offsets, set_starts = self._layout
-        else:
-            counts = np.empty(0, dtype=np.int64)
-            offsets = np.empty(0, dtype=np.int64)
-            set_starts = np.empty(0, dtype=np.float64)
-        if self._starts:
-            starts = np.asarray(self._starts, dtype=np.float64)
-            latencies = np.vstack(self._lats)
-            hits = np.vstack(self._hits)
-            totals = np.asarray(self._totals, dtype=np.float64)
-        else:
-            width = int(counts.sum())
-            starts = np.empty(0, dtype=np.float64)
-            latencies = np.empty((0, width), dtype=np.float64)
-            hits = np.empty((0, width), dtype=bool)
-            totals = np.empty(0, dtype=np.float64)
-        return EpochOutcome(
-            starts=starts,
-            latencies=latencies,
-            hits=hits,
-            totals=totals,
-            set_counts=counts,
-            set_offsets=offsets,
-            set_starts=set_starts,
-            remote=self.remote,
-            bursts=self.bursts,
-            accesses=self.accesses,
-            begin=self.begin,
-            end=self.clock,
+        return _epoch_outcome(
+            self._layout, self._starts, self._lats, self._hits, self._totals,
+            self.remote, self.bursts, self.accesses, self.begin, self.clock,
         )
 
 
@@ -400,13 +375,11 @@ class LinkEpochCursor:
         self.round_start = begin
         self.in_round = False
         self.seg_index = 0
-        #: Absolute stop time resolved once: ``end_time`` or the begin
-        #: plus ``duration_cycles`` (the flooder's horizon).
-        self.stop_time: Optional[float] = op.end_time
-        if op.duration_cycles is not None:
-            horizon = begin + op.duration_cycles
-            if self.stop_time is None or horizon < self.stop_time:
-                self.stop_time = horizon
+        #: Absolute stop time resolved once: the begin plus
+        #: ``duration_cycles`` (the flooder's horizon).
+        self.stop_time: Optional[float] = (
+            None if op.duration_cycles is None else begin + op.duration_cycles
+        )
         self.idle_pause = None
         self.lead = 0
         self.last_advance = begin
@@ -435,19 +408,7 @@ class LinkEpochCursor:
         self._fast_seg: List = [None] * len(op.segments)
         self._starts: List[float] = []
         self._lats: List[np.ndarray] = []
-        exec_gpu = handle.gpu_id
-        process = handle.process
-        for seg in op.segments:
-            dst = getattr(seg, "dst_gpu", None)
-            if dst is None:
-                continue
-            if dst == exec_gpu:
-                raise PeerAccessError("link probes need a remote destination GPU")
-            if not process.has_peer_access(exec_gpu, dst):
-                raise PeerAccessError(
-                    f"process {process.name!r} has no peer access from GPU "
-                    f"{exec_gpu} to GPU {dst}"
-                )
+        _check_link_peers(op, handle.gpu_id, handle.process)
 
     # ------------------------------------------------------------------
     def resume(self, now: float, deadline: float) -> bool:
@@ -455,7 +416,7 @@ class LinkEpochCursor:
 
         Same contract as :meth:`EpochCursor.resume`: returns ``True`` on
         completion, otherwise the cursor clock is the re-queue time and
-        ``key_lead``/``key_since`` carry the scalar twin's FIFO tie key.
+        ``key_lead``/``key_since`` carry the unrolled stream's FIFO tie key.
         """
         op = self.op
         clock = self.clock
@@ -518,15 +479,7 @@ class LinkEpochCursor:
                         self.resumed_accesses += count
                         self.service_cycles += total
                         if seg.record:
-                            width = self._width
-                            if width is None:
-                                self._width = count
-                            elif count != width:
-                                raise SimulationError(
-                                    "recorded link-epoch bursts must share "
-                                    "one width; use record=False for "
-                                    "heterogeneous plans"
-                                )
+                            self._width = _check_width(self._width, count)
                             self._starts.append(start)
                             self._lats.append(latencies)
                         clock = start + total
@@ -536,14 +489,7 @@ class LinkEpochCursor:
                 elif kind is LinkFlood:
                     if clock >= deadline and (serviced or clock > entry):
                         return self._suspend(clock, lead, lead, last_advance)
-                    # One scalar flooder iteration, arithmetic verbatim:
-                    # size the posted burst to the remaining window, then
-                    # hold the paced remainder of its lane reservation.
-                    if self.stop_time is not None:
-                        window = min(seg.burst_cycles, self.stop_time - clock)
-                    else:
-                        window = seg.burst_cycles
-                    count = max(1, int(window / seg.occupancy_per_transfer))
+                    count, hold = _flood_shape(seg, self.stop_time, clock)
                     start = clock
                     clock = start + service(
                         seg.dst_gpu, count, seg.gap_cycles, False, False, start
@@ -551,11 +497,6 @@ class LinkEpochCursor:
                     last_advance = start
                     lead = 0
                     serviced = True
-                    hold = max(
-                        count * seg.occupancy_per_transfer
-                        - count * seg.gap_cycles,
-                        0.0,
-                    )
                     if hold > 0.0:
                         last_advance = clock
                         clock += hold
@@ -568,10 +509,10 @@ class LinkEpochCursor:
                     lead += 1
                     if target > clock:
                         if self.idle_pause != here:
-                            # The twin pushes its pad Sleep here; suspend
-                            # once so this cursor's re-push takes the same
-                            # FIFO slot when streams converge on a common
-                            # slot grid (see EpochIdle's chunked wait).
+                            # The unrolled stream pushes its pad Sleep here;
+                            # suspend once so this cursor's re-push takes the
+                            # same FIFO slot when streams converge on a
+                            # common slot grid (see EpochIdle's chunked wait).
                             self.idle_pause = here
                             return self._suspend(
                                 clock, lead - 1, lead, last_advance
@@ -590,7 +531,7 @@ class LinkEpochCursor:
                         target = self.round_start + seg.until
                         if target > clock:
                             last_advance = clock
-                            clock = target
+                            clock += target - clock
                             lead = 0
                 else:
                     raise SimulationError(
@@ -598,14 +539,6 @@ class LinkEpochCursor:
                         "burst/flood/pad/idle"
                     )
                 self.seg_index += 1
-            if op.period is not None:
-                if op.round_reads:
-                    lead += 1
-                remaining = op.period - (clock - self.round_start)
-                if remaining > 0:
-                    last_advance = clock
-                    clock += remaining
-                    lead = 0
             self.round_index += 1
             self.in_round = False
         self.clock = clock
@@ -855,37 +788,108 @@ class LinkEpochCursor:
         self.resumed_accesses += count
         self.service_cycles += total
         if record:
-            if self._width is None:
-                self._width = count
-            elif count != self._width:
-                raise SimulationError(
-                    "recorded link-epoch bursts must share one width; "
-                    "use record=False for heterogeneous plans"
-                )
+            self._width = _check_width(self._width, count)
             self._starts.append(clock)
             self._lats.append(latencies)
         return total
 
     def take_outcome(self) -> LinkOutcome:
         """Assemble the columnar result (call once, after completion)."""
-        if self._starts:
-            starts = np.asarray(self._starts, dtype=np.float64)
-            latencies = np.vstack(self._lats)
-        else:
-            starts = np.empty(0, dtype=np.float64)
-            latencies = np.empty((0, self._width or 0), dtype=np.float64)
-        return LinkOutcome(
-            starts=starts,
-            latencies=latencies,
-            bursts=self.bursts,
-            transfers=self.accesses,
-            begin=self.begin,
-            end=self.clock,
+        return _link_outcome(
+            self._starts, self._lats, self._width,
+            self.bursts, self.accesses, self.begin, self.clock,
         )
 
 
 # ----------------------------------------------------------------------
-# Scalar-kernel adapter
+# Result assembly and validation shared with the per-op unroll
+# ----------------------------------------------------------------------
+def _epoch_outcome(
+    layout, starts, lats, hits, totals, remote, bursts, accesses, begin, end
+) -> EpochOutcome:
+    if layout is not None:
+        counts, offsets, set_starts = layout
+    else:
+        counts = np.empty(0, dtype=np.int64)
+        offsets = np.empty(0, dtype=np.int64)
+        set_starts = np.empty(0, dtype=np.float64)
+    if starts:
+        starts_array = np.asarray(starts, dtype=np.float64)
+        latencies = np.vstack(lats)
+        hits_array = np.vstack(hits)
+        totals_array = np.asarray(totals, dtype=np.float64)
+    else:
+        width = int(counts.sum())
+        starts_array = np.empty(0, dtype=np.float64)
+        latencies = np.empty((0, width), dtype=np.float64)
+        hits_array = np.empty((0, width), dtype=bool)
+        totals_array = np.empty(0, dtype=np.float64)
+    return EpochOutcome(
+        starts=starts_array,
+        latencies=latencies,
+        hits=hits_array,
+        totals=totals_array,
+        set_counts=counts,
+        set_offsets=offsets,
+        set_starts=set_starts,
+        remote=remote,
+        bursts=bursts,
+        accesses=accesses,
+        begin=begin,
+        end=end,
+    )
+
+
+def _link_outcome(starts, lats, width, bursts, transfers, begin, end) -> LinkOutcome:
+    if starts:
+        starts_array = np.asarray(starts, dtype=np.float64)
+        latencies = np.vstack(lats)
+    else:
+        starts_array = np.empty(0, dtype=np.float64)
+        latencies = np.empty((0, width or 0), dtype=np.float64)
+    return LinkOutcome(starts_array, latencies, bursts, transfers, begin, end)
+
+
+def _check_width(width: Optional[int], count: int) -> int:
+    """Recorded link bursts of one epoch share a width; returns it."""
+    if width is not None and count != width:
+        raise SimulationError(
+            "recorded link-epoch bursts must share one width; "
+            "use record=False for heterogeneous plans"
+        )
+    return count
+
+
+def _flood_shape(seg: LinkFlood, stop_time: Optional[float], clock: float):
+    """One flooder iteration: the posted burst sized to the remaining
+    window, and the paced remainder of its lane reservation to hold."""
+    window = seg.burst_cycles
+    if stop_time is not None:
+        window = min(window, stop_time - clock)
+    count = max(1, int(window / seg.occupancy_per_transfer))
+    hold = max(
+        count * seg.occupancy_per_transfer - count * seg.gap_cycles, 0.0
+    )
+    return count, hold
+
+
+def _check_link_peers(op: LinkEpoch, exec_gpu: int, process) -> None:
+    """Validate every segment's destination before any burst runs."""
+    for seg in op.segments:
+        dst = getattr(seg, "dst_gpu", None)
+        if dst is None:
+            continue
+        if dst == exec_gpu:
+            raise PeerAccessError("link probes need a remote destination GPU")
+        if not process.has_peer_access(exec_gpu, dst):
+            raise PeerAccessError(
+                f"process {process.name!r} has no peer access from GPU "
+                f"{exec_gpu} to GPU {dst}"
+            )
+
+
+# ----------------------------------------------------------------------
+# Trace-kernel adapter
 # ----------------------------------------------------------------------
 def _as_segment(op: Any):
     kind = type(op)
@@ -917,11 +921,11 @@ def epochify(kernel: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
     handful of cursor resumes instead of one heap event per 16-line
     batch.  Idle segments are kept one-per-op (not coalesced): float
     addition is not associative, and summing them would nudge the clock
-    off the scalar path's bit pattern.
+    off the per-op path's bit pattern.
 
     The moment the kernel yields an op with no epoch equivalent (a
     store, fence or clock read), the collected prefix replays verbatim
-    on the scalar path and the wrapper turns into a transparent
+    on the per-op path and the wrapper turns into a transparent
     passthrough: every later op is forwarded as yielded and its real
     engine result sent back in.  Eagerly draining past that point would
     be wrong, not just slow -- a result-*dependent* kernel (e.g. the
@@ -935,7 +939,7 @@ def epochify(kernel: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
         except StopIteration as stop:
             if segments:
                 # round_reads=0: trace kernels never read the clock, so
-                # the twin has no zero-latency lead-in ops.
+                # the plan has no zero-latency lead-in ops.
                 yield AccessEpoch(
                     tuple(segments), rounds=1, record=False, round_reads=0
                 )
@@ -963,3 +967,206 @@ def epochify(kernel: Generator[Any, Any, Any]) -> Generator[Any, Any, Any]:
             except StopIteration as stop:
                 return stop.value
             result = yield op
+
+
+# ----------------------------------------------------------------------
+# Per-op unroll: the differential oracle
+# ----------------------------------------------------------------------
+def unroll(
+    kernel: Generator[Any, Any, Any],
+    engine: "Engine",
+    gpu_id: int,
+    process: "Process",
+) -> Generator[Any, Any, Any]:
+    """Expand every epoch plan ``kernel`` yields into per-op dispatch.
+
+    The inverse of :func:`epochify` and the oracle behind a
+    :class:`~repro.runtime.api.Runtime` built for per-op dispatch, which
+    wraps every kernel it launches.  Ordinary ops pass through.  Each
+    :class:`AccessEpoch` / :class:`LinkEpoch` becomes the per-op stream
+    whose event order its cursor reproduces -- ``round_reads`` clock reads
+    opening every round (the round-start checks see the last one), one
+    ``ProbeSet`` per one-set burst, ``ProbeEpoch`` per multi-set burst and
+    ``LinkProbe`` per link burst or flood window, a clock read before
+    every repeat margin check, chunked idle step and pad, and
+    ``Compute`` (L2 plans) or ``Sleep`` (link plans) for idles, pads,
+    flood holds and period padding -- and the kernel is sent the
+    :class:`EpochOutcome` / :class:`LinkOutcome` assembled from the
+    per-op results.  Clock values the plan declares no read for come from
+    ``engine.now``, the stream's own clock whenever the engine resumes
+    it.  A link plan's destinations are validated before its first op,
+    as the cursor does.
+    """
+    result = None
+    while True:
+        try:
+            op = kernel.send(result)
+        except StopIteration as stop:
+            return stop.value
+        kind = type(op)
+        if kind is AccessEpoch:
+            result = yield from _unroll_access(op, engine)
+        elif kind is LinkEpoch:
+            _check_link_peers(op, gpu_id, process)
+            result = yield from _unroll_link(op, engine)
+        else:
+            result = yield op
+
+
+def _unroll_access(op: AccessEpoch, engine: "Engine"):
+    begin = engine.now
+    layout = None
+    starts: List[float] = []
+    lats: List[np.ndarray] = []
+    hits: List[np.ndarray] = []
+    totals: List[float] = []
+    bursts = 0
+    accesses = 0
+    remote = False
+
+    def burst_ops(burst: EpochBurst):
+        nonlocal layout, bursts, accesses, remote
+        start = engine.now
+        if len(burst.sets) == 1:
+            probe = yield ProbeSet(
+                burst.buffer, burst.sets[0], burst.parallel, burst.issue_gap
+            )
+            latencies, hit_flags = probe.latencies, probe.hits
+            total, burst_remote = probe.total_latency, probe.remote
+        else:
+            epoch = yield ProbeEpoch(
+                burst.buffer, burst.sets, burst.parallel, burst.issue_gap
+            )
+            latencies = [lat for row in epoch.set_latencies for lat in row]
+            hit_flags = [hit for row in epoch.set_hits for hit in row]
+            total, burst_remote = epoch.total_latency, epoch.remote
+        bursts += 1
+        accesses += len(latencies)
+        remote = remote or burst_remote
+        if not op.record:
+            return
+        if layout is None:
+            layout = engine.system.epoch_layout(
+                burst.buffer, burst.sets, burst.parallel, burst.issue_gap
+            )
+        elif len(latencies) != len(lats[0]):
+            raise SimulationError(_LAYOUT_MISMATCH)
+        starts.append(start)
+        lats.append(np.asarray(latencies, dtype=np.float64))
+        hits.append(np.asarray(hit_flags, dtype=bool))
+        totals.append(total)
+
+    stop_at = None
+    round_index = 0
+    while op.rounds is None or round_index < op.rounds:
+        clock = engine.now
+        for _ in range(op.round_reads):
+            clock = yield ReadClock()
+        if op.end_time is not None and clock >= op.end_time:
+            break
+        if op.stop_flag is not None and stop_at is None and len(op.stop_flag):
+            stop_at = clock + op.grace_cycles
+        if stop_at is not None and clock >= stop_at:
+            break
+        round_start = clock
+        for seg in op.segments:
+            kind = type(seg)
+            if kind is EpochBurst:
+                yield from burst_ops(seg)
+            elif kind is EpochIdle:
+                if seg.cycles:
+                    yield Compute(seg.cycles)
+                if seg.until is None:
+                    continue
+                target = round_start + seg.until
+                if seg.chunk is None:
+                    if target > engine.now:
+                        yield Compute(target - engine.now)
+                    continue
+                while True:
+                    now = yield ReadClock()
+                    remaining = target - now
+                    if remaining <= 0:
+                        break
+                    yield Compute(min(remaining, seg.chunk))
+            elif kind is EpochRepeat:
+                target = round_start + seg.until
+                while True:
+                    now = yield ReadClock()
+                    if now + seg.margin > target:
+                        break
+                    yield from burst_ops(seg.burst)
+            else:
+                raise SimulationError(
+                    f"AccessEpoch segment {seg!r} is not a burst/idle/repeat"
+                )
+        if op.period is not None:
+            now = (yield ReadClock()) if op.round_reads else engine.now
+            remaining = op.period - (now - round_start)
+            if remaining > 0:
+                yield Compute(remaining)
+        round_index += 1
+    return _epoch_outcome(
+        layout, starts, lats, hits, totals, remote, bursts, accesses,
+        begin, engine.now,
+    )
+
+
+def _unroll_link(op: LinkEpoch, engine: "Engine"):
+    begin = engine.now
+    stop_time = None if op.duration_cycles is None else begin + op.duration_cycles
+    starts: List[float] = []
+    lats: List[np.ndarray] = []
+    width: Optional[int] = None
+    bursts = 0
+    transfers = 0
+    round_index = 0
+    while op.rounds is None or round_index < op.rounds:
+        clock = engine.now
+        for _ in range(op.round_reads):
+            clock = yield ReadClock()
+        if stop_time is not None and clock >= stop_time:
+            break
+        round_start = clock
+        for seg in op.segments:
+            kind = type(seg)
+            if kind is LinkBurst:
+                start = engine.now
+                count = int(seg.num_transfers)
+                probe = yield LinkProbe(
+                    seg.dst_gpu, count, seg.gap_cycles, seg.wait
+                )
+                bursts += 1
+                transfers += count
+                if seg.record:
+                    width = _check_width(width, count)
+                    starts.append(start)
+                    lats.append(np.asarray(probe.latencies, dtype=np.float64))
+            elif kind is LinkFlood:
+                count, hold = _flood_shape(seg, stop_time, engine.now)
+                yield LinkProbe(seg.dst_gpu, count, seg.gap_cycles, wait=False)
+                bursts += 1
+                transfers += count
+                if hold > 0.0:
+                    yield Sleep(hold)
+            elif kind is LinkPad:
+                now = yield ReadClock()
+                target = round_start + seg.until
+                if target > now:
+                    yield Sleep(target - now)
+            elif kind is EpochIdle:
+                if seg.cycles:
+                    yield Sleep(seg.cycles)
+                if seg.until is not None:
+                    target = round_start + seg.until
+                    if target > engine.now:
+                        yield Sleep(target - engine.now)
+            else:
+                raise SimulationError(
+                    f"LinkEpoch segment {seg!r} is not a "
+                    "burst/flood/pad/idle"
+                )
+        round_index += 1
+    return _link_outcome(
+        starts, lats, width, bursts, transfers, begin, engine.now
+    )

@@ -139,11 +139,9 @@ class EpochBurst:
     tuple of per-set word-index tuples over one buffer, traversed
     back-to-back with the same issue semantics (parallel: flat access
     ``p`` issues at ``start + p * issue_gap``; sequential: all accesses
-    stamped at the burst start, latencies accumulate).  ``post_cycles``
-    charges a fixed stream cost after the burst completes -- e.g. the
-    covert spy's two shared-memory staging stores -- without a separate
-    engine event.  Reuse ONE burst object across rounds: the flattened
-    physical-address plan is cached by identity.
+    stamped at the burst start, latencies accumulate).  Reuse ONE burst
+    object across rounds: the flattened physical-address plan is cached
+    by identity.
     """
 
     buffer: "DeviceBuffer"
@@ -151,8 +149,6 @@ class EpochBurst:
     parallel: bool = True
     #: Cycles between consecutive issue slots in parallel mode.
     issue_gap: float = 4.0
-    #: Fixed cycles charged to the stream after the burst completes.
-    post_cycles: float = 0.0
 
     @property
     def count(self) -> int:
@@ -165,12 +161,13 @@ class EpochIdle:
 
     ``cycles`` adds a relative delay; ``until`` (relative to the current
     *round* start) fast-forwards to an absolute point on the round's time
-    axis -- ``clock = max(clock, round_start + until)`` -- which is how a
-    trojan pads out the remainder of a bit slot in one step instead of a
-    train of 200-cycle Compute chunks.  ``chunk`` makes the fast-forward
-    accumulate in ``min(remaining, chunk)`` steps, reproducing a scalar
-    wait loop's float arithmetic bit-for-bit (the clocks of both backends
-    then agree exactly, not just to rounding error).
+    axis -- one wait of the remainder when ``round_start + until`` lies
+    ahead -- which is how a trojan pads out the remainder of a bit slot in
+    one step instead of a train of 200-cycle Compute chunks.  ``chunk``
+    makes the fast-forward accumulate in ``min(remaining, chunk)`` steps,
+    each preceded by a clock read: a per-op wait loop's float arithmetic
+    bit-for-bit (the clocks of both dispatch modes then agree exactly, not
+    just to rounding error).
     """
 
     cycles: float = 0.0
@@ -197,8 +194,8 @@ class AccessEpoch:
     """A whole access *plan*, advanced in bulk by the engine's epoch cursor.
 
     ``segments`` run in order once per round; ``rounds=None`` repeats until
-    a termination condition fires.  Round-start checks reproduce the
-    scalar prober loop exactly, in order:
+    a termination condition fires.  Round-start checks run in this order
+    (the memorygram prober's sweep loop):
 
     1. ``end_time`` (absolute): round starting at or past it ends the epoch.
     2. ``stop_flag`` (any sized container): first round that starts with it
@@ -210,13 +207,14 @@ class AccessEpoch:
     ``record=False`` skips per-access result assembly (victim workloads:
     cache side effects and counters only).
 
-    ``round_reads`` declares how many zero-latency clock reads the scalar
-    kernel being mirrored performs at each round start (the prober's and
-    spy's ``yield ReadClock()``).  The engine uses it to reconstruct the
-    scalar event loop's FIFO order when several streams are queued at the
-    *same* instant (e.g. trojans padded to one slot grid), so tied bursts
-    land in the oracle's exact order.  Use 0 for plans with no scalar
-    clock reads (victim traces, warm-up primes).
+    ``round_reads`` declares how many zero-latency clock reads open each
+    round of the plan's per-op expansion (:func:`repro.sim.epoch.unroll`
+    yields them as ``ReadClock`` ops; the round-start checks see the last
+    one's value).  The cursor uses it to reconstruct the per-op event
+    loop's FIFO order when several streams are queued at the *same*
+    instant (e.g. trojans padded to one slot grid), so tied bursts land in
+    the oracle's exact order.  Use 0 for plans that read no clock (victim
+    traces, warm-up primes).
     """
 
     segments: Tuple[Union[EpochBurst, EpochIdle, EpochRepeat], ...]
@@ -278,7 +276,7 @@ class LinkBurst:
 class LinkFlood:
     """A self-paced flood window inside a :class:`LinkEpoch`.
 
-    One round of the scalar flooder loop as a declarative segment: fill a
+    One round of a self-paced flooder loop as a declarative segment: fill a
     ``burst_cycles`` window with back-to-back posted transfers
     (``count = max(1, int(window / occupancy_per_transfer))``, window
     clipped to the epoch's remaining time), then hold the stream for the
@@ -298,11 +296,10 @@ class LinkFlood:
 class LinkPad:
     """Pad the stream to an absolute point on the round's time axis.
 
-    The trojan's slot alignment: ``clock = max(clock, round_start +
-    until)``, mirroring the scalar kernel's single clock read followed by
-    one ``Sleep`` of the remainder (no re-check read after the sleep --
-    unlike :class:`EpochIdle`'s chunked wait loop, so the suspension keys
-    of both backends line up transfer-for-transfer).
+    The trojan's slot alignment: one clock read, then one ``Sleep`` of
+    the remainder when ``round_start + until`` lies ahead (no re-check
+    read after the sleep -- unlike :class:`EpochIdle`'s chunked wait
+    loop).
     """
 
     until: float
@@ -313,20 +310,17 @@ class LinkEpoch:
     """A whole fabric-channel *plan*, advanced in bulk by the engine.
 
     The NVLink counterpart of :class:`AccessEpoch`: ``segments`` run in
-    order once per round; ``rounds=None`` repeats until ``end_time`` (or
-    ``duration_cycles`` past the epoch's begin) stops the plan at a round
-    start.  ``period`` pads each round out to a fixed grid, and
-    ``round_reads`` plays the same FIFO-order role as on
-    :class:`AccessEpoch` (the scalar kernels' per-round ``ReadClock``).
-    The route, peer-access check, and per-hop serialization state are
-    resolved once per epoch and reused across every burst.
+    order once per round; ``rounds=None`` repeats until a round starts
+    ``duration_cycles`` or more past the epoch's begin.  ``round_reads``
+    plays the same FIFO-order role as on :class:`AccessEpoch` (the
+    per-round ``ReadClock`` of the unrolled kernel).  The route,
+    peer-access check, and per-hop serialization state are resolved once
+    per epoch and reused across every burst.
     """
 
     segments: Tuple[Union["LinkBurst", "LinkFlood", "LinkPad", EpochIdle], ...]
     rounds: Optional[int] = 1
-    period: Optional[float] = None
-    end_time: Optional[float] = None
-    #: Convenience terminator: ``end_time = begin + duration_cycles``.
+    #: Stop at the first round starting this many cycles past the begin.
     duration_cycles: Optional[float] = None
     round_reads: int = 1
 
@@ -426,13 +420,6 @@ class LinkProbeResult:
     @property
     def mean_latency(self) -> float:
         return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
-
-    @property
-    def median_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        return ordered[len(ordered) // 2]
 
     @property
     def max_wait(self) -> float:

@@ -101,6 +101,8 @@ class DeviceBuffer:
 
     def paddr(self, index: int) -> int:
         """Physical address (on the home device) of word ``index``."""
+        if not self.frames:
+            raise TranslationError(f"buffer {self.name!r} was freed")
         if not 0 <= index < self.num_words:
             raise TranslationError(
                 f"index {index} outside buffer {self.name!r} "
@@ -111,6 +113,8 @@ class DeviceBuffer:
 
     def paddrs(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`paddr` for a whole batch of word indices."""
+        if not self.frames:
+            raise TranslationError(f"buffer {self.name!r} was freed")
         if indices.size and (
             int(indices.min()) < 0 or int(indices.max()) >= self.num_words
         ):
@@ -146,6 +150,15 @@ class DeviceBuffer:
         self.token = DeviceBuffer._next_token
         DeviceBuffer._next_token += 1
         return old_frame
+
+    def release(self) -> None:
+        """Drop the translation once the frames went back to the allocator
+        (``cudaFree``): any later access raises :class:`TranslationError`
+        instead of landing on whichever allocation gets the frames next."""
+        self.frames = ()
+        self._frame_array = np.empty(0, dtype=np.int64)
+        self.token = DeviceBuffer._next_token
+        DeviceBuffer._next_token += 1
 
     def load(self, index: int) -> int:
         return int(self.data[index])

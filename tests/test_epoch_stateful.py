@@ -11,12 +11,17 @@ and fabric counters, identical per-set cache occupancy, and bitwise
 identical simulation clocks.  Fabric rules cover link bursts on both
 sides of the small-batch cutoff, link-flap degradation and restore, and
 a one-shot lane-partitioning reconfiguration, so the shrunk reproducer
-a divergence yields can land in any fabric regime.
+a divergence yields can land in any fabric regime.  An error-path rule
+runs faulting plans through both arms (the per-op arm expands them with
+``repro.sim.epoch.unroll``): both must raise the same typed error and
+leave the simulations in lockstep.
 """
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, find, settings, strategies as st
+from hypothesis.errors import NoSuchExample
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
@@ -26,6 +31,7 @@ from hypothesis.stateful import (
 
 from repro.config import DGXSpec
 from repro.defense.partitioning import enable_lane_partitioning
+from repro.errors import ReproError
 from repro.runtime.api import Runtime
 from repro.sim.ops import (
     Access,
@@ -39,6 +45,20 @@ from repro.sim.ops import (
 )
 
 MAX_LINES = 48
+
+
+def _burst_layout(lines: int):
+    """``(span, group starts)`` of a multi-set burst inside ``lines`` lines.
+
+    The span is bounded by the buffer: ``alloc`` makes buffers as small
+    as 4 lines, and a wider span would probe past the end.
+    """
+    return st.integers(2, min(6, lines)).flatmap(
+        lambda span: st.tuples(
+            st.just(span),
+            st.lists(st.integers(0, lines - span), min_size=1, max_size=4),
+        )
+    )
 
 
 def _counters(rt: Runtime):
@@ -70,11 +90,15 @@ class EpochScalarEquivalence(RuleBasedStateMachine):
             rt.enable_peer_access(proc, 0, 1)
             rt.enable_peer_access(proc, 1, 0)
             self.arms.append((rt, proc))
+        #: A process per arm with no peer access at all.
+        self.strangers = [rt.create_process("stranger") for rt, _ in self.arms]
         spec = self.arms[0][0].system.spec.gpu
         self.words_per_line = spec.cache.line_size // 8
         self.num_sets = spec.cache.num_sets
         #: Live allocations: ((buf_epoch, buf_scalar), num_lines).
         self.buffers = []
+        #: Freed allocations, same shape (targets of the error-path rule).
+        self.freed = []
         self.alloc_counter = 0
         #: Fabric state, always mutated on both arms together.
         self.link_edge = tuple(
@@ -117,20 +141,8 @@ class EpochScalarEquivalence(RuleBasedStateMachine):
     def probe_burst(self, data):
         """One multi-set burst: AccessEpoch vs ReadClock + ProbeEpoch."""
         pair, lines = data.draw(st.sampled_from(self.buffers))
-        span = data.draw(st.integers(2, 6), label="span")
-        num_groups = data.draw(st.integers(1, 4), label="groups")
-        group_starts = data.draw(
-            st.lists(
-                st.integers(0, max(0, lines - span)),
-                min_size=num_groups,
-                max_size=num_groups,
-            ),
-            label="starts",
-        )
-        sets = tuple(
-            tuple((start + i) * self.words_per_line for i in range(span))
-            for start in group_starts
-        )
+        span, group_starts = data.draw(_burst_layout(lines), label="layout")
+        sets = self._burst_sets(span, group_starts)
         parallel = data.draw(st.booleans(), label="parallel")
         rounds = data.draw(st.integers(1, 3), label="rounds")
         exec_gpu = data.draw(st.integers(0, 1), label="exec_gpu")
@@ -229,11 +241,70 @@ class EpochScalarEquivalence(RuleBasedStateMachine):
     def free(self, data):
         entry = data.draw(st.sampled_from(self.buffers))
         self.buffers.remove(entry)
+        self.freed.append(entry)
         pair, _lines = entry
         for (rt, _proc), buf in zip(self.arms, pair):
             rt.free(buf)
 
+    @rule(data=st.data())
+    def faulting_plan(self, data):
+        """Error paths: a burst past a buffer's end, a burst on a freed
+        buffer, or a LinkEpoch lacking peer access.  Both arms must raise
+        the same typed error before touching any state (the invariant then
+        checks clocks, counters and occupancy)."""
+        kinds = ["link"]
+        if self.buffers:
+            kinds.append("out_of_range")
+        if self.freed:
+            kinds.append("freed")
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        exec_gpu = data.draw(st.integers(0, 1), label="exec_gpu")
+        if kind == "link":
+            # A stranger has no peer access; otherwise a valid first burst
+            # precedes one aimed at the issuing GPU itself, so the plan
+            # must be rejected before its first op.
+            stranger = data.draw(st.booleans(), label="stranger")
+            segments = (LinkBurst(1 - exec_gpu, 2, 0.0, True, record=True),)
+            if not stranger:
+                segments += (LinkBurst(exec_gpu, 2),)
+            plans = [LinkEpoch(segments)] * 2
+            procs = self.strangers if stranger else None
+        else:
+            pool = self.buffers if kind == "out_of_range" else self.freed
+            pair, lines = data.draw(st.sampled_from(pool), label="buffer")
+            first = lines - 1 if kind == "out_of_range" else 0
+            groups = data.draw(st.integers(1, 2), label="groups")
+            sets = self._burst_sets(2, [first] * groups)
+            parallel = data.draw(st.booleans(), label="parallel")
+            plans = [
+                AccessEpoch((EpochBurst(buf, sets, parallel=parallel),))
+                for buf in pair
+            ]
+            procs = None
+        self._compare_error(plans, exec_gpu, procs)
+
     # ------------------------------------------------------------------
+    def _burst_sets(self, span, group_starts):
+        return tuple(
+            tuple((start + i) * self.words_per_line for i in range(span))
+            for start in group_starts
+        )
+
+    def _compare_error(self, plans, exec_gpu, procs=None):
+        """Run one faulting plan per arm; both must raise the same type."""
+        if procs is None:
+            procs = [proc for _rt, proc in self.arms]
+        raised = []
+        for (rt, _proc), proc, plan in zip(self.arms, procs, plans):
+
+            def kernel(plan=plan):
+                return (yield plan)
+
+            with pytest.raises(ReproError) as info:
+                rt.run_kernel(kernel(), exec_gpu, proc)
+            raised.append(type(info.value))
+        assert raised[0] is raised[1]
+
     def _compare_burst(self, pair, sets, parallel, rounds, exec_gpu):
         (rt_e, proc_e), (rt_s, proc_s) = self.arms
         buf_e, buf_s = pair
@@ -303,3 +374,44 @@ EpochScalarEquivalence.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 TestEpochScalarEquivalence = EpochScalarEquivalence.TestCase
+
+
+# ----------------------------------------------------------------------
+# Regression: the shrunk reproducer of the span-past-the-end flake
+# ----------------------------------------------------------------------
+def test_burst_layouts_stay_inside_the_buffer():
+    """The generator can no longer reach past a small buffer's end."""
+    for lines in (4, 5):
+        with pytest.raises(NoSuchExample):
+            find(
+                _burst_layout(lines),
+                lambda layout, lines=lines: max(layout[1]) + layout[0] > lines,
+                settings=settings(max_examples=300, database=None),
+            )
+
+
+def test_shrunk_small_buffer_reproducer():
+    """Replays the falsifying example: two 4-line allocations, then one
+    sequential single-group burst on the first from line 0 with span 5.
+
+    The bounded generator now draws at most span 4 there, which must stay
+    in lockstep; the overlong span-5 burst is an error path on which both
+    arms raise the same TranslationError and stay in lockstep.
+    """
+    machine = EpochScalarEquivalence()
+    machine.alloc(lines=4, home=0)
+    machine.arms_in_lockstep()
+    machine.alloc(lines=4, home=0)
+    machine.arms_in_lockstep()
+    pair, lines = machine.buffers[0]
+    machine._compare_burst(
+        pair, machine._burst_sets(lines, [0]), False, 1, exec_gpu=0
+    )
+    machine.arms_in_lockstep()
+    overlong = machine._burst_sets(5, [0])
+    machine._compare_error(
+        [AccessEpoch((EpochBurst(buf, overlong, parallel=False),)) for buf in pair],
+        exec_gpu=0,
+    )
+    machine.arms_in_lockstep()
+    machine.teardown()

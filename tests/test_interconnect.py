@@ -63,22 +63,6 @@ class TestInterconnect:
         busy = icx.link_busy_until()
         assert busy[frozenset((0, 1))] > 0.0
 
-    def test_link_utilization_alias_warns_and_wraps_utilization(self):
-        """The deprecated accessor is now a warning wrapper around
-        ``utilization()`` (the old raw stamps live on as
-        ``link_busy_until``)."""
-        _spec, icx = make_icx()
-        for _ in range(3):
-            icx.transfer(0, 1, 0.0)
-        with pytest.warns(DeprecationWarning, match="link_utilization"):
-            aliased = icx.link_utilization(1000.0)
-        assert aliased == icx.utilization(1000.0)
-        snapshot = icx.busy_cycles()
-        icx.transfer(0, 1, 10.0)
-        with pytest.warns(DeprecationWarning):
-            windowed = icx.link_utilization(500.0, since=snapshot)
-        assert windowed == icx.utilization(500.0, since=snapshot)
-
     def test_windowed_utilization_fraction(self):
         spec, icx = make_icx(lanes=2)
         n, window = 10, 1000.0

@@ -375,10 +375,17 @@ class TestVictimEpochKernel:
         assert victim_traffic_kernel in cells(saturating)
         assert victim_traffic_epoch_kernel in cells(bursty)
 
-    def test_scalar_dispatch_launcher_keeps_scalar_kernel(self):
+    def test_scalar_dispatch_launcher_unrolls_the_epoch_kernel(self):
+        # The dispatch mode no longer picks the victim: the per-op arm
+        # launches the same plan kernel and the runtime unrolls it.
         rt = _runtime(False, seed=1)
         recorder = LinkgramRecorder(rt)
         recorder.setup()
         launcher = recorder.victim_launcher(1, 2, duration_cycles=10_000.0)
         cells = [c.cell_contents for c in launcher.__closure__]
-        assert victim_traffic_kernel in cells
+        assert victim_traffic_epoch_kernel in cells
+        handle = launcher(rt.engine.now)
+        assert handle.generator.gi_code.co_name == "unroll"
+        rt.synchronize()
+        assert handle.done
+        assert rt.engine.stats.epochs == 0
