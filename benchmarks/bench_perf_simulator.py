@@ -219,8 +219,9 @@ def run_memorygram(backend: str, seed: int = 3) -> Dict:
     """Paper-scale capture: 16-way small box, 64 monitored sets.
 
     ``sets_per_block=64`` probes the whole monitored range in one epoch
-    per sweep, so the vector core services 64-wide rounds; the scalar
-    arm walks the identical stream per access.  Block width is the
+    per sweep, so the vector core services 1024-line bursts in one
+    tag-store pass each; the scalar arm walks the identical stream per
+    access.  Block width is the
     amortization lever -- at the old 16-set blocks the epoch arm leaves
     most of its batching on the table (see docs/performance.md).
     """

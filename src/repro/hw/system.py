@@ -26,6 +26,13 @@ from .topology import Topology
 
 __all__ = ["MultiGPUSystem"]
 
+#: Accesses per tag-store segment from which an epoch burst takes the wide
+#: vector path rather than the fused small core.  Measured on a 2-vCPU
+#: x86_64 host (docs/performance.md, "The one-pass LRU burst kernel"):
+#: the paths cross near 64-96 lines; below 64 the small core wins, and
+#: at 64 the wide path's numpy rows keep recorded sweeps compact.
+WIDE_BURST = 64
+
 
 class _EpochPlan:
     """Precomputed layout of one ProbeEpoch's flattened access stream.
@@ -79,7 +86,7 @@ class _EpochPlan:
     def cache_plan(self, l2: VectorL2Cache):
         """The (lazily built) per-L2 access plan for this epoch's stream.
 
-        The round decomposition and bank grouping depend only on the
+        The tag-store segment split and bank grouping depend only on the
         physical addresses and the cache geometry, so they are as
         loop-invariant as the flattened indices; one plan per home L2 is
         enough because an epoch's probe buffer is homed on one GPU.
@@ -570,13 +577,14 @@ class MultiGPUSystem:
         vector_l2 = isinstance(home_gpu.l2, VectorL2Cache)
         if (
             vector_l2
-            and count >= 32
-            and count >= 12 * len(plan.cache_plan(home_gpu.l2).rounds)
+            and count >= WIDE_BURST
+            and count
+            >= WIDE_BURST * len(plan.cache_plan(home_gpu.l2).lines.segments)
         ):
-            # Wide rounds only: a same-set-heavy burst (a covert prime is
-            # ``ways`` accesses to each of a handful of sets) decomposes
-            # into rounds too narrow to amortize the array ops, so it is
-            # better off in the fused per-access loop below.
+            # Wide bursts only: the vector path costs a fixed amount per
+            # burst plus one tag-store pass per segment, the fused loop
+            # below a little per access.  A covert prime (``ways`` lines
+            # of one set) stays in the loop.
             stamps = now + plan.positions * issue_gap if parallel else np.full(
                 count, float(now)
             )
@@ -590,8 +598,7 @@ class MultiGPUSystem:
                 total = float(np.cumsum(latencies)[-1])
             scalar_fallback = False
         elif vector_l2:
-            # Small burst (a covert prime/probe is 4-16 lines): the same
-            # `< 32` routing cutoff as access_batch, but through a fused
+            # Small burst (a covert prime/probe is 4-16 lines): a fused
             # per-access loop with the set/tag/bank decode hoisted into
             # the plan.  Drives identical tag-store, bank, HBM and link
             # state as the reference loop -- same jitter draw order, same
@@ -829,7 +836,7 @@ class MultiGPUSystem:
         """Vectorized service of one batch; returns arrays + counts.
 
         ``cache_plan`` (from :meth:`VectorL2Cache.plan_epoch`) skips the
-        per-batch round decomposition when the caller reuses one access
+        per-batch segment split when the caller reuses one access
         stream sweep after sweep.
         """
         timing = self.spec.timing

@@ -5,26 +5,48 @@ object per cache set; at memorygram scale (256-1024 monitored sets x 16
 lines per probe x thousands of sweeps) the per-access dict operations
 dominate the whole simulator.  :class:`LruTagStore` holds every set's tags
 in one ``(num_sets, ways)`` int64 matrix plus an age matrix, and services a
-whole batch of accesses with array operations.
+whole burst of accesses with a fixed number of array operations.
 
 Exact-LRU equivalence
 ---------------------
 
 Age-stamp LRU is exactly equivalent to the reference ``LruSet`` (an
-``OrderedDict`` in recency order): on a hit the line's age is bumped to the
-current tick, on a miss an invalid way is filled first, otherwise the
-minimum-age (least recently used) valid way is evicted.  The differential
-tests in ``tests/test_vector_cache.py`` pin the two implementations to
-identical hit/miss/eviction sequences.
+``OrderedDict`` in recency order): a line's age is the tick of its last
+access, a miss fills an invalid way first and otherwise evicts the
+minimum-age (least recently used) valid way.  Ages are distinct within a
+set, so the resident lines sorted by age are the ``LruSet`` order.  The
+differential tests in ``tests/test_vector_cache.py`` pin the two
+implementations to identical hit/miss/eviction sequences and resident
+orders.
 
-Batch processing happens in *rounds*: round ``r`` services the ``r``-th
-access of every distinct set in the batch.  Within a round all accesses
-touch different sets, so the updates are independent and fully
-vectorizable; across rounds the per-set sequential semantics (an access
-sees the fills and evictions of earlier accesses to its set) are
-preserved.  An eviction-set traversal (16 accesses to one set) therefore
-costs 16 small rounds, while a multi-set probe epoch (256 sets x 16 lines)
-costs 16 rounds of 256-wide array ops instead of 4096 Python iterations.
+One-pass bursts: segments and stack distance
+--------------------------------------------
+
+A burst is split, once and independently of cache state
+(:class:`BurstPlan`), into program-order *segments* in which every
+(set, tag) pair appears at most once.  A prime or probe burst -- distinct
+lines of one or more eviction sets -- is a single segment.  Within a
+segment, true LRU is the case where reuse (stack) distance is exact: a
+line is resident iff fewer than ``ways`` distinct lines of its set were
+used since its own last use.  For an access to tag ``t`` that is resident
+at segment start with LRU rank ``q`` among its set's ``r`` valid lines::
+
+    d = (r - 1 - q)                       # residents more recent than t
+      + (earlier segment accesses to the set)
+      - (earlier segment accesses to residents of rank > q)
+
+counts the distinct lines above ``t`` when it is reached, so it hits iff
+``d < ways``.  A tag that was not resident always misses, and so does any
+access past the ``ways``-th of its set in the segment.  A miss evicts iff
+the set is full by then: ``r`` plus the earlier not-resident accesses
+reach ``ways`` (no line is lost before the set fills).  The set's new
+contents are its ``ways`` most recent lines: untouched residents keep
+their ages, and the segment's tags are stamped ``tick + column`` in
+program order.  When every accessed tag is resident -- a warm probe sweep
+-- all accesses hit and only the ages change.
+
+Way positions may compact across a burst; they are never observable, only
+residency and recency order are.
 
 Only true LRU is vectorized -- the policy the paper reverse-engineers on
 the P100 ("evicted consistently after the 16th address", Fig 5).  The
@@ -37,41 +59,110 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["LruTagStore", "occurrence_ranks"]
+__all__ = ["LruTagStore", "BurstPlan"]
 
 _INVALID = -1
-_AGE_MAX = np.iinfo(np.int64).max
 
-_IOTA = np.arange(4096, dtype=np.int64)
-
-
-def _iota(n: int) -> np.ndarray:
-    """``arange(n)`` from a shared read-only pool (round-core row picker)."""
-    global _IOTA
-    if n > _IOTA.size:
-        _IOTA = np.arange(max(n, 2 * _IOTA.size), dtype=np.int64)
-    return _IOTA[:n]
+#: :meth:`LruTagStore.access_lines` walks bursts shorter than this with
+#: :meth:`LruTagStore.access_one`: below it, building a plan and running
+#: the kernel costs more than the walk (docs/performance.md, "The one-pass
+#: LRU burst kernel").
+PLAN_MIN = 64
 
 
-def occurrence_ranks(values: np.ndarray) -> np.ndarray:
-    """Rank of each element among equal elements, in array order.
+class _Segment:
+    """State-independent layout of one segment (distinct (set, tag) pairs).
 
-    ``occurrence_ranks([5, 3, 5, 5, 3]) == [0, 0, 1, 2, 1]``.  Used to
-    split a batch into rounds of distinct-set accesses.
+    ``head``/``tail`` are ``(sets, k)`` matrices of access indices -- the
+    first and last ``min(count, ways)`` accesses of each touched set --
+    padded with the sentinel index ``n``, which the kernel maps to "no
+    access".  Only an access among the first ``ways`` of its set can hit,
+    and only the last ``ways`` can stay resident, so nothing wider is
+    ever needed.
     """
-    n = values.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    positions = np.arange(n, dtype=np.int64)
-    group_start = np.zeros(n, dtype=np.int64)
-    new_group = sorted_values[1:] != sorted_values[:-1]
-    group_start[1:] = np.where(new_group, positions[1:], 0)
-    group_start = np.maximum.accumulate(group_start)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = positions - group_start
-    return ranks
+
+    __slots__ = (
+        "start", "stop", "rows", "wanted", "cols", "uset", "inv", "nth",
+        "head", "earlier", "tail",
+    )
+
+    def __init__(
+        self, start: int, stop: int, rows: np.ndarray, wanted: np.ndarray,
+        ways: int,
+    ) -> None:
+        n = rows.size
+        self.start = start
+        self.stop = stop
+        self.rows = rows
+        self.wanted = wanted
+        self.cols = cols = np.arange(n, dtype=np.int64)
+        # Group the accesses by set (program order within a set).
+        order = np.argsort(rows, kind="stable")
+        grouped = rows[order]
+        new_set = np.empty(n, dtype=bool)
+        new_set[0] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=new_set[1:])
+        firsts = np.flatnonzero(new_set)
+        self.uset = grouped[firsts]
+        counts = np.diff(firsts, append=n)
+        self.inv = np.empty(n, dtype=np.int64)
+        self.inv[order] = np.cumsum(new_set) - 1
+        # nth: how many earlier accesses of the segment share the set.
+        self.nth = nth = np.empty(n, dtype=np.int64)
+        nth[order] = cols - np.repeat(firsts, counts)
+        width = min(int(counts.max()), ways)
+        self.earlier = cols[:width] < nth[:, None]
+        self.head = np.full((self.uset.size, width), n, dtype=np.int64)
+        first = nth < width
+        self.head[self.inv[first], nth[first]] = cols[first]
+        self.tail = np.full((self.uset.size, width), n, dtype=np.int64)
+        from_end = counts[self.inv] - 1 - nth
+        last = from_end < width
+        self.tail[self.inv[last], from_end[last]] = cols[last]
+
+
+class BurstPlan:
+    """The segment split of one access stream, reusable across sweeps.
+
+    Depends only on the (set, tag) layout of the stream and the cache's
+    ``ways``, so a caller replaying the same stream every sweep (a prober
+    epoch) builds it once and hands it to
+    :meth:`LruTagStore.access_lines_planned`.
+    """
+
+    __slots__ = ("count", "segments")
+
+    def __init__(
+        self, set_indices: np.ndarray, tags: np.ndarray, num_sets: int, ways: int
+    ) -> None:
+        self.count = n = int(set_indices.size)
+        set_indices = np.asarray(set_indices, dtype=np.int64)
+        tags = np.asarray(tags, dtype=np.int64)
+        bounds = [0]
+        if n:
+            # A segment ends just before the first access whose (set, tag)
+            # pair already occurred inside it (greedy, so segments are as
+            # long as possible).  The stable sort lists repeats of one
+            # pair in program order.
+            keys = tags * num_sets + set_indices
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+            repeat = np.nonzero(sorted_keys[1:] == sorted_keys[:-1])[0]
+            if repeat.size:
+                later = order[repeat + 1]
+                by_later = np.argsort(later)
+                start = 0
+                for at, before in zip(
+                    later[by_later].tolist(), order[repeat][by_later].tolist()
+                ):
+                    if before >= start:
+                        bounds.append(at)
+                        start = at
+            bounds.append(n)
+        self.segments = [
+            _Segment(lo, hi, set_indices[lo:hi], tags[lo:hi], ways)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
 
 class LruTagStore:
@@ -79,8 +170,7 @@ class LruTagStore:
 
     Validity is encoded in the tag matrix itself: real tags are physical
     addresses shifted right, hence always >= 0, so ``_INVALID`` (-1) can
-    never collide with a resident line.  This keeps the hot loop to one
-    fancy-indexed read of ``_tags`` per round.
+    never collide with a resident line.
     """
 
     __slots__ = ("num_sets", "ways", "_tags", "_age", "_tick")
@@ -95,6 +185,10 @@ class LruTagStore:
     # ------------------------------------------------------------------
     # Batched access (the fast path)
     # ------------------------------------------------------------------
+    def plan(self, set_indices: np.ndarray, tags: np.ndarray) -> BurstPlan:
+        """The :class:`BurstPlan` of one access stream for this geometry."""
+        return BurstPlan(set_indices, tags, self.num_sets, self.ways)
+
     def access_lines(
         self, set_indices: np.ndarray, tags: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -106,100 +200,76 @@ class LruTagStore:
         line (a fill into an invalid way is a miss without an eviction).
         """
         n = set_indices.size
+        if n >= PLAN_MIN:
+            return self.access_lines_planned(self.plan(set_indices, tags))
         hits = np.zeros(n, dtype=bool)
         evictions = np.zeros(n, dtype=bool)
-        if n == 0:
-            return hits, evictions
-        if n <= 2 * self.ways:
-            # Small burst (one or two traversals' worth): the rounds
-            # would be nearly as numerous as the accesses, so a direct
-            # scalar walk beats the array machinery.
-            for at, (row, tag) in enumerate(
-                zip(set_indices.tolist(), tags.tolist())
-            ):
-                hit, evicted = self.access_one(row, tag)
-                hits[at] = hit
-                evictions[at] = evicted is not None
-            return hits, evictions
-        ranks = occurrence_ranks(set_indices)
-        for rank in range(int(ranks.max()) + 1):
-            sel = np.nonzero(ranks == rank)[0]
-            self._access_round(sel, set_indices[sel], tags[sel], hits, evictions)
+        for at, (row, tag) in enumerate(zip(set_indices.tolist(), tags.tolist())):
+            hit, evicted = self.access_one(row, tag)
+            hits[at] = hit
+            evictions[at] = evicted is not None
         return hits, evictions
 
-    def plan_rounds(
-        self, set_indices: np.ndarray, tags: np.ndarray
-    ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Precompute the round decomposition of one access stream.
+    def access_lines_planned(self, plan: BurstPlan) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`access_lines` over a precomputed :class:`BurstPlan`.
 
-        The split into rounds of distinct-set accesses depends only on the
-        (set, tag) layout of the batch, not on cache state, so callers
-        that replay the same stream every sweep (a prober epoch) can build
-        the ``(sel, rows, wanted)`` triples once and feed them to
-        :meth:`access_lines_planned`.
+        State transitions are identical to the unplanned call over the
+        same stream; only the state-independent layout is hoisted out.
         """
-        rounds: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        if set_indices.size == 0:
-            return rounds
-        ranks = occurrence_ranks(set_indices)
-        for rank in range(int(ranks.max()) + 1):
-            sel = np.nonzero(ranks == rank)[0]
-            rounds.append((sel, set_indices[sel], tags[sel]))
-        return rounds
-
-    def access_lines_planned(
-        self, rounds: List[Tuple[np.ndarray, np.ndarray, np.ndarray]], n: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`access_lines` with a precomputed round decomposition.
-
-        State transitions are identical to the unplanned walk over the
-        same stream; only the input bookkeeping is hoisted out.
-        """
-        hits = np.zeros(n, dtype=bool)
-        evictions = np.zeros(n, dtype=bool)
-        for sel, rows, wanted in rounds:
-            self._access_round(sel, rows, wanted, hits, evictions)
+        hits = np.zeros(plan.count, dtype=bool)
+        evictions = np.zeros(plan.count, dtype=bool)
+        for segment in plan.segments:
+            self._access_segment(segment, hits, evictions)
         return hits, evictions
 
-    def _access_round(
-        self,
-        sel: np.ndarray,
-        rows: np.ndarray,
-        wanted: np.ndarray,
-        hits: np.ndarray,
-        evictions: np.ndarray,
+    def _access_segment(
+        self, seg: _Segment, hits: np.ndarray, evictions: np.ndarray
     ) -> None:
-        """One round of distinct-set lookups-and-fills (shared core).
-
-        The hit way doubles as the hit test (``argmax`` of the match row
-        picks the matching way when there is one, and ``match`` at that
-        way says whether there was), so the all-hit steady state -- a
-        warm probe sweep -- settles in seven array ops.
-        """
-        tag_rows = self._tags[rows]
-        match = tag_rows == wanted[:, None]
-        way = match.argmax(axis=1)
-        hit = match[_iota(rows.size), way]
-        hits[sel] = hit
+        """Service one segment in a single closed-form pass."""
+        ways = self.ways
         tick = self._tick
-        self._tick = tick + 1
-        if hit.all():
-            self._age[rows, way] = tick
+        n = seg.cols.size
+        self._tick = tick + n
+        stamps = tick + seg.cols
+        tags = self._tags[seg.uset]
+        match = tags[seg.inv] == seg.wanted[:, None]
+        way = match.argmax(axis=1)
+        resident = match[seg.cols, way]
+        if resident.all():
+            # Warm sweep: every access hits, nothing moves but the ages.
+            hits[seg.start : seg.stop] = True
+            self._age[seg.rows, way] = stamps
             return
-        if hit.any():
-            self._age[rows[hit], way[hit]] = tick
-        miss = ~hit
-        miss_rows = rows[miss]
-        miss_invalid = tag_rows[miss] == _INVALID
-        has_free = miss_invalid.any(axis=1)
-        free_way = miss_invalid.argmax(axis=1)
-        lru_way = np.where(
-            miss_invalid, _AGE_MAX, self._age[miss_rows]
-        ).argmin(axis=1)
-        fill_way = np.where(has_free, free_way, lru_way)
-        evictions[sel[miss]] = ~has_free
-        self._tags[miss_rows, fill_way] = wanted[miss]
-        self._age[miss_rows, fill_way] = tick
+        valid = tags != _INVALID
+        ages = np.where(valid, self._age[seg.uset], -1)
+        # Old age of each accessed line, -1 when it was not resident; the
+        # sentinel slot n lets head/tail padding read "no access".
+        own = np.full(n + 1, -1, dtype=np.int64)
+        own[:n][resident] = ages[seg.inv[resident], way[resident]]
+        mine = own[:n, None]
+        above = (ages[seg.inv] > mine).sum(axis=1)
+        earlier_ages = own[seg.head][seg.inv]
+        skipped = (seg.earlier & (earlier_ages > mine)).sum(axis=1)
+        # Stack distance (module docstring): the residents above the line,
+        # plus the set's earlier accesses, less those already above it.
+        hit = resident & (above + seg.nth - skipped < ways)
+        hits[seg.start : seg.stop] = hit
+        cold_before = (seg.earlier & (earlier_ages < 0)).sum(axis=1)
+        # Past its set's first ``ways`` accesses ``cold_before`` covers only
+        # the head, but residents plus those head misses already fill it.
+        full = valid.sum(axis=1)[seg.inv] + cold_before >= ways
+        evictions[seg.start : seg.stop] = full & ~hit
+        # New rows: the ``ways`` most recent of the untouched residents and
+        # the segment's own lines.
+        kept = valid.copy()
+        kept[seg.inv[resident], way[resident]] = False
+        fresh_ages = np.append(stamps, -1)[seg.tail]
+        fresh_tags = np.append(seg.wanted, _INVALID)[seg.tail]
+        cand_ages = np.concatenate((np.where(kept, ages, -1), fresh_ages), axis=1)
+        cand_tags = np.concatenate((np.where(kept, tags, _INVALID), fresh_tags), axis=1)
+        top = np.argsort(cand_ages, axis=1)[:, -ways:]
+        self._tags[seg.uset] = np.take_along_axis(cand_tags, top, axis=1)
+        self._age[seg.uset] = np.take_along_axis(cand_ages, top, axis=1)
 
     # ------------------------------------------------------------------
     # Scalar access (kept for the single-word path and maintenance ops)

@@ -251,10 +251,10 @@ class Engine:
         (``lead=0``, ``since=now``) and the ordering collapses to the
         plain FIFO ``(when, seq)`` tie-break, because push times are
         non-decreasing in ``seq``.  Epoch cursors supply the values their
-        scalar twin would have had, so streams suspended at the *same*
-        instant (trojans padded to one slot grid) pop in the oracle's
-        round-robin order: earliest last activity first, one zero-op per
-        turn.
+        per-op unroll (:func:`repro.sim.epoch.unroll`) would have had, so
+        streams suspended at the *same* instant (trojans padded to one
+        slot grid) pop in the oracle's round-robin order: earliest last
+        activity first, one zero-op per turn.
         """
         since_key = self.now if since is None else since
         heapq.heappush(self._heap, (handle.clock, lead, since_key, self._seq, handle))
@@ -371,7 +371,7 @@ class Engine:
                     self._push(handle)
                 else:
                     # Suspended mid-epoch: queue with the FIFO tie key the
-                    # scalar twin's last push would have carried.
+                    # per-op unroll's last push would have carried.
                     self._push(handle, cursor.key_lead, cursor.key_since)
         finally:
             stats.wall_seconds += time.perf_counter() - wall_start

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.config import DGXSpec
 from repro.core.timing import characterize_timing
 from repro.runtime.api import Runtime
+
+#: Opt-in deep run, ``pytest --hypothesis-profile=nightly``: ten times the
+#: default profile's example budget.  Properties that pin no
+#: ``max_examples`` take it directly; the stateful lockstep suite scales
+#: its own budget by the same factor.  Tier-1 keeps the default profile.
+settings.register_profile("nightly", max_examples=1000)
 
 
 @pytest.fixture

@@ -368,7 +368,9 @@ class EpochScalarEquivalence(RuleBasedStateMachine):
 
 
 EpochScalarEquivalence.TestCase.settings = settings(
-    max_examples=12,
+    # 12 under the default profile; ten times that under the opt-in
+    # ``--hypothesis-profile=nightly`` (tests/conftest.py).
+    max_examples=12 * settings.default.max_examples // 100,
     stateful_step_count=12,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],

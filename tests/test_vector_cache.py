@@ -14,12 +14,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from repro.config import CacheSpec, DGXSpec
 from repro.hw.cache import L2Cache, VectorL2Cache, make_l2
 from repro.hw.occupancy import multi_server_waits, single_server_waits
 from repro.hw.replacement import make_set
-from repro.hw.tagstore import LruTagStore, occurrence_ranks
+from repro.hw.tagstore import LruTagStore
 from repro.runtime.api import Runtime
 from repro.sim.ops import Access, ProbeEpoch, ProbeSet
 
@@ -74,12 +76,6 @@ def test_multi_server_waits_matches_least_busy_lane_loop():
         assert np.allclose(new_lanes, ref_lanes)
 
 
-def test_occurrence_ranks():
-    values = np.array([5, 3, 5, 5, 3, 9])
-    assert occurrence_ranks(values).tolist() == [0, 0, 1, 2, 1, 0]
-    assert occurrence_ranks(np.array([], dtype=np.int64)).size == 0
-
-
 # ----------------------------------------------------------------------
 # Unit level: LruTagStore vs the scalar LruSet, interleaved batch/scalar
 # ----------------------------------------------------------------------
@@ -111,6 +107,111 @@ def test_tagstore_matches_lru_sets():
                 assert store.invalidate(s, t) == sets[s].invalidate(t)
         for s in range(num_sets):
             assert store.resident_tags(s) == sets[s].resident_tags()
+
+
+# ----------------------------------------------------------------------
+# Unit level: the one-pass burst kernel vs LruSet, under hypothesis
+# ----------------------------------------------------------------------
+@st.composite
+def _lru_scripts(draw):
+    """A tag-store geometry plus a script of bursts and scalar ops.
+
+    Tags come from a pool of ``2 * ways + 1`` per set, so bursts repeat
+    (set, tag) pairs (several segments) and overflow sets (evictions);
+    ``invalidate`` leaves holes, and ``replay`` re-issues the previous
+    burst, the prime-then-probe pattern behind all-resident bursts.
+    """
+    ways = draw(st.sampled_from([1, 2, 4, 16]), label="ways")
+    num_sets = draw(st.integers(1, 3), label="num_sets")
+    line = st.tuples(st.integers(0, num_sets - 1), st.integers(0, 2 * ways))
+    step = st.one_of(
+        st.tuples(
+            st.just("burst"),
+            # Draw the width first: plain ``lists`` rarely grows past
+            # ``2 * ways`` lines at 16 ways.
+            st.integers(1, 4 * ways + 4).flatmap(
+                lambda width: st.lists(line, min_size=width, max_size=width)
+            ),
+        ),
+        st.tuples(st.just("replay"), st.none()),
+        st.tuples(st.just("one"), line),
+        st.tuples(st.just("invalidate"), line),
+    )
+    return ways, num_sets, draw(st.lists(step, min_size=1, max_size=10), label="steps")
+
+
+def _run_script(script, check=True):
+    """Replay ``script`` on ``LruSet`` references and, with ``check``, on an
+    ``LruTagStore`` in lockstep, asserting that hits, eviction flags, later
+    evicted tags and every set's resident LRU order agree after each step.
+
+    Returns ``(width, segments, all_hit)`` for every burst.
+    """
+    ways, num_sets, steps = script
+    store = LruTagStore(num_sets, ways)
+    refs = [make_set("lru", ways, np.random.default_rng(0)) for _ in range(num_sets)]
+    facts = []
+    last = None
+    for kind, arg in steps:
+        if kind == "replay":
+            kind, arg = "burst", last
+        if kind == "burst" and arg is not None:
+            last = arg
+            sets, tags = np.array(arg).T
+            plan = store.plan(sets, tags)
+            expected = [refs[s].access(t) for s, t in arg]
+            ref_hits = [hit for hit, _ in expected]
+            facts.append((len(arg), len(plan.segments), all(ref_hits)))
+            if check:
+                hits, evictions = store.access_lines_planned(plan)
+                assert hits.tolist() == ref_hits
+                assert evictions.tolist() == [ev is not None for _, ev in expected]
+        elif kind == "one":
+            expected = refs[arg[0]].access(arg[1])
+            if check:
+                assert store.access_one(*arg) == expected
+        elif kind == "invalidate":
+            expected = refs[arg[0]].invalidate(arg[1])
+            if check:
+                assert store.invalidate(*arg) == expected
+        if check:
+            for s in range(num_sets):
+                assert store.resident_tags(s) == refs[s].resident_tags()
+    return facts
+
+
+@settings(deadline=None)
+@given(_lru_scripts())
+def test_burst_kernel_matches_lru_sets(script):
+    _run_script(script)
+
+
+def test_lru_scripts_reach_every_kernel_branch():
+    """The generator reaches wide multi-segment bursts at the paper's 16
+    ways and all-resident bursts (the kernel's shortcut), so the property
+    above covers both.  Generation only: shrinking 30-line witnesses
+    would cost minutes."""
+    search = settings(max_examples=2000, database=None, phases=[Phase.generate])
+    wide = find(
+        _lru_scripts(),
+        lambda script: script[0] == 16
+        and any(
+            width > 2 * 16 and segments > 1
+            for width, segments, _ in _run_script(script, check=False)
+        ),
+        settings=search,
+    )
+    warm = find(
+        _lru_scripts(),
+        lambda script: any(
+            width > 1 and all_hit
+            for width, _, all_hit in _run_script(script, check=False)
+        ),
+        settings=search,
+    )
+    # The witnesses pass the lockstep check too.
+    _run_script(wide)
+    _run_script(warm)
 
 
 # ----------------------------------------------------------------------
