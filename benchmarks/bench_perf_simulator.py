@@ -7,11 +7,15 @@ cache backend:
 
 * ``vectorized`` -- the columnar epoch engine: vectorized L2 backend
   *and* epoch dispatch (attack kernels yield ``AccessEpoch`` plans that
-  the engine advances in bulk).
-* ``scalar``     -- the pre-epoch reference: scalar L2 backend, per-op
-  dispatch (``epoch_dispatch=False`` unrolls every plan), and the per-element
+  the engine advances in bulk).  Every L2 burst -- ``ProbeSet``,
+  ``ProbeEpoch`` or ``EpochBurst`` -- goes through one router that picks
+  the wide vector core or the fused small core by ``WIDE_BURST``.
+* ``scalar``     -- the pre-epoch reference: scalar L2 backend (the
+  router's per-access reference loop), per-op dispatch
+  (``epoch_dispatch=False`` unrolls every plan), and the per-element
   Python fabric walk (the scalar backend flips
-  ``Interconnect.vectorized``), the differential-test oracle.
+  ``Interconnect.vectorized``, which ``FabricFlow.advance_batch``
+  reads), the differential-test oracle.
 
 Scenarios:
 

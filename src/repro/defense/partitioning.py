@@ -117,11 +117,11 @@ class _ShapedFabricFlow(FabricFlow):
     """Cached-flow variant that applies the per-tenant ingress shaper.
 
     The lane-group slicing itself needs no override -- ``FabricFlow``
-    binds ``_lane_state``'s owner slice at construction -- but the
-    columnar advance paths must charge the same shaping delays as the
-    scalar ``transfer``/``transfer_batch`` overrides, or the defended
-    fabric would diverge between backends (the fused small-burst walk
-    previously skipped shaping entirely).
+    binds ``_lane_state``'s owner slice at construction -- but every
+    advance path must charge the same shaping delays as the scalar
+    ``transfer`` override, or the defended fabric would diverge between
+    backends.  ``Interconnect.transfer_batch`` runs on these flows, so
+    this is the only place batch shaping lives.
     """
 
     __slots__ = ()
@@ -247,24 +247,6 @@ class PartitionedInterconnect(Interconnect):
             return extra + delay, hops
         return super().transfer(src_gpu, dst_gpu, now, owner)
 
-    def transfer_batch(self, src_gpu, dst_gpu, stamps, owner=None):
-        if (
-            self.rate_limit_cycles > 0.0
-            and src_gpu != dst_gpu
-            and np.asarray(stamps).size
-        ):
-            key = (owner, src_gpu, dst_gpu)
-            stamps_arr = np.asarray(stamps, dtype=np.float64)
-            delays, busy_end = single_server_waits(
-                self._shaper.get(key, 0.0), stamps_arr, self.rate_limit_cycles
-            )
-            self._shaper[key] = busy_end
-            return (
-                super().transfer_batch(src_gpu, dst_gpu, stamps_arr + delays, owner)
-                + delays
-            )
-        return super().transfer_batch(src_gpu, dst_gpu, stamps, owner)
-
     # ------------------------------------------------------------------
     def link_busy_until(self) -> Dict[Edge, float]:
         return {
@@ -290,7 +272,7 @@ def enable_lane_partitioning(
 
     Returns the new interconnect so the caller can pin owners to slices.
     In-flight lane reservations are dropped, as a fabric reconfiguration
-    would; the telemetry hook carries over.
+    would; the tracer and metrics hooks carry over.
     """
     partitioned = PartitionedInterconnect(
         system.spec,
@@ -299,6 +281,7 @@ def enable_lane_partitioning(
         rate_limit_cycles=rate_limit_cycles,
     )
     partitioned.tracer = system.interconnect.tracer
+    partitioned.metrics = system.interconnect.metrics
     system.interconnect = partitioned
     return partitioned
 

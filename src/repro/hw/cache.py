@@ -15,8 +15,9 @@ Two interchangeable backends implement the model:
   partitioned defense variant.
 * :class:`VectorL2Cache` -- the vectorized fast path: all sets in one
   numpy tag/age matrix (:class:`~repro.hw.tagstore.LruTagStore`) with a
-  batched :meth:`~VectorL2Cache.access_lines` servicing whole probe
-  traversals per call.  LRU only; selected via
+  batched :meth:`~VectorL2Cache.access_lines_planned` servicing whole
+  probe traversals per call against a precomputed
+  :meth:`~VectorL2Cache.plan_epoch`.  LRU only; selected via
   ``CacheSpec.l2_backend`` (the default) and proven equivalent to the
   reference by the differential tests in ``tests/test_vector_cache.py``.
 

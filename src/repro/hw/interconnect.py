@@ -72,11 +72,11 @@ class FabricFlow:
     the fabric, a chaos fault changes a degradation factor, or the lane
     state is rebuilt.
 
-    :meth:`advance_batch` replays :meth:`Interconnect.transfer_batch`'s
-    arithmetic expression-for-expression (bit-identical results by
-    construction); :meth:`advance_one` replays :meth:`Interconnect.transfer`
-    with counter updates accumulated locally and flushed per burst via
-    :meth:`flush_counters` (the fused small-burst contract).
+    :meth:`advance_batch` is the fabric's one batch walk (behind
+    :meth:`Interconnect.transfer_batch`); :meth:`advance_one` replays
+    :meth:`Interconnect.transfer` with counter updates accumulated locally
+    and flushed per burst via :meth:`flush_counters` (the fused
+    small-burst contract).
     """
 
     __slots__ = (
@@ -115,14 +115,26 @@ class FabricFlow:
     def advance_batch(self, stamps: np.ndarray) -> np.ndarray:
         """Charge a transfer batch on the cached route; returns extras.
 
-        Bit-identical to :meth:`Interconnect.transfer_batch` (same
-        per-hop ``multi_server_waits`` walk, same float expression
-        order), with the route/degradation/key lookups hoisted out.
-        Counters, stall metrics and ``nvlink_stall_batch`` trace events
-        are emitted exactly as the oracle would.
+        The fabric's one batch walk (:meth:`Interconnect.transfer_batch`
+        delegates here): per hop, one ``multi_server_waits`` lane scan
+        over the whole batch, then the hop's counters, stall metric and
+        ``nvlink_stall_batch`` trace event.  With
+        ``inter.vectorized`` off the batch takes the pure-Python walk of
+        :meth:`advance_batch_small` instead -- the scalar reference arm,
+        bit-identical in extras, lanes, counters and events.
         """
         inter = self.inter
         n = stamps.size
+        if not inter.vectorized:
+            # The scalar reference arm: the per-element Python lane walk.
+            # Called through the class so a shaping subclass's override
+            # does not shape the already-shaped stamps twice.
+            return np.asarray(
+                FabricFlow.advance_batch_small(
+                    self, np.asarray(stamps, dtype=np.float64).tolist()
+                ),
+                dtype=np.float64,
+            )
         extras = np.zeros(n, dtype=np.float64)
         if n == 0:
             return extras
@@ -152,6 +164,9 @@ class FabricFlow:
                     self.keys[hop], hop_wait, events=int((waits > 0.0).sum())
                 )
             if tracer is not None and hop_wait > 0.0:
+                # One event per *hop*, stamped when the batch reaches that
+                # link, so Perfetto lines stalls up with the probe epochs
+                # they delayed; ``dur`` is the hop's summed queueing.
                 a, b = sorted(edge)
                 tracer.emit(
                     "nvlink_stall_batch",
@@ -181,7 +196,8 @@ class FabricFlow:
         bit-for-bit: the lane walk goes through
         :func:`~repro.hw.occupancy.multi_server_waits_scalar` and the
         per-hop wait sum accumulates left-to-right, which equals numpy's
-        pairwise sum below :data:`SMALL_BATCH` elements.
+        pairwise sum below :data:`SMALL_BATCH` elements; wider batches
+        (the scalar arm of :meth:`advance_batch`) take numpy's sum.
         """
         inter = self.inter
         n = len(stamps)
@@ -208,6 +224,8 @@ class FabricFlow:
                 hop_wait += wait
                 extras[i] += wait
                 clock[i] += wait + serialization
+            if n >= SMALL_BATCH:
+                hop_wait = float(np.asarray(waits).sum())
             queued[edge] += hop_wait
             busy_cycles[edge] += serialization * n
             if metrics is not None and hop_wait > 0.0:
@@ -295,9 +313,10 @@ class Interconnect:
         #: :meth:`counters_snapshot` at export (the fused small-burst core
         #: bypasses these calls by design).
         self.metrics = None
-        #: Arm switch for the fabric hot path: the scalar reference arm
-        #: (``l2_backend == "scalar"``) drives :meth:`transfer_batch`
-        #: through the per-element Python lane walk, so the perf benches
+        #: Arm switch for the fabric hot path, read by
+        #: :meth:`FabricFlow.advance_batch`: the scalar reference arm
+        #: (``l2_backend == "scalar"``) walks every batch through the
+        #: flow's per-element Python lane walk, so the perf benches
         #: compare the columnar fabric against the pre-epoch reference
         #: rather than against itself.  Results are bit-identical either
         #: way -- the walks are exact twins and the counter reductions
@@ -432,6 +451,7 @@ class Interconnect:
         route = self.topology.path(src_gpu, dst_gpu)
         base_serialization = self.spec.nvlink.serialization_cycles
         degraded = self._degraded
+        metrics = self.metrics
         extra = 0.0
         clock = now
         for edge in route:
@@ -446,14 +466,15 @@ class Interconnect:
             self._transfers[edge] += 1
             self._queued_cycles[edge] += wait
             self._busy_cycles[edge] += serialization
+            if metrics is not None and wait > 0.0:
+                # Charged to the hop's own link, as the batch walks do.
+                metrics.count_stall(self._edge_keys[edge], wait)
             extra += wait
             clock += wait + serialization
         # The first hop's base latency is part of TimingSpec.remote_*;
         # additional hops each add a fixed penalty.
         queue_wait = extra
         extra += (len(route) - 1) * self.spec.timing.per_extra_hop
-        if self.metrics is not None and queue_wait > 0.0:
-            self.metrics.count_stall(self._edge_keys[route[0]], queue_wait)
         if self.tracer is not None and queue_wait > 0.0:
             self.tracer.emit(
                 "nvlink_stall",
@@ -478,131 +499,12 @@ class Interconnect:
         ``stamps`` must be non-decreasing (batch issue order).  Equivalent
         to sequential :meth:`transfer` calls: each transfer occupies the
         least-busy lane of every link on its route, and queueing on one
-        link delays the transfer's arrival at the next.
+        link delays the transfer's arrival at the next.  The walk itself
+        is the flow's (:meth:`FabricFlow.advance_batch`).
         """
-        n = stamps.size
-        extras = np.zeros(n, dtype=np.float64)
-        if src_gpu == dst_gpu or n == 0:
-            return extras
-        route = self.topology.path(src_gpu, dst_gpu)
-        base_serialization = float(self.spec.nvlink.serialization_cycles)
-        degraded = self._degraded
-        if not self.vectorized:
-            return self._transfer_batch_python(
-                src_gpu, dst_gpu, stamps, owner, route,
-                base_serialization, degraded,
-            )
-        clock = np.asarray(stamps, dtype=np.float64).copy()
-        for hop, edge in enumerate(route):
-            serialization = base_serialization
-            if degraded:
-                serialization *= degraded.get(edge, 1.0)
-            lanes = self._lane_state(edge, owner)
-            arrival = float(clock[0])
-            waits, new_busy = multi_server_waits(
-                np.asarray(lanes), clock, serialization
-            )
-            lanes[:] = [float(b) for b in new_busy]
-            self._transfers[edge] += int(n)
-            hop_wait = float(waits.sum())
-            self._queued_cycles[edge] += hop_wait
-            self._busy_cycles[edge] += serialization * n
-            extras += waits
-            clock += waits + serialization
-            if self.metrics is not None and hop_wait > 0.0:
-                self.metrics.count_stall(
-                    self._edge_keys[edge], hop_wait, events=int((waits > 0.0).sum())
-                )
-            if self.tracer is not None and hop_wait > 0.0:
-                # One event per *hop*, stamped when the batch reaches that
-                # link, so Perfetto lines stalls up with the probe epochs
-                # they delayed; ``dur`` is the hop's summed queueing.
-                a, b = sorted(edge)
-                self.tracer.emit(
-                    "nvlink_stall_batch",
-                    "nvlink",
-                    arrival,
-                    dur=hop_wait,
-                    gpu=src_gpu,
-                    args={
-                        "src": src_gpu,
-                        "dst": dst_gpu,
-                        "hop": hop,
-                        "link": [a, b],
-                        "hops": len(route),
-                        "transfers": int(n),
-                    },
-                )
-        extras += (len(route) - 1) * self.spec.timing.per_extra_hop
-        return extras
-
-    def _transfer_batch_python(
-        self,
-        src_gpu: int,
-        dst_gpu: int,
-        stamps: np.ndarray,
-        owner: Optional[int],
-        route,
-        base_serialization: float,
-        degraded: Dict[Edge, float],
-    ) -> np.ndarray:
-        """Reference fabric walk: the per-element Python lane scan.
-
-        The scalar arm's :meth:`transfer_batch` body -- every wait comes
-        from :func:`~repro.hw.occupancy.multi_server_waits_scalar`, one
-        element at a time.  Only the ``hop_wait`` counter reduction stays
-        numpy: its pairwise sum differs from in-order accumulation at
-        :data:`SMALL_BATCH` elements and up, and ``counters_snapshot``
-        must match the vectorized walk bitwise at any batch width.
-        """
-        n = int(stamps.size)
-        clock = [float(stamp) for stamp in stamps]
-        extras = [0.0] * n
-        for hop, edge in enumerate(route):
-            serialization = base_serialization
-            if degraded:
-                serialization *= degraded.get(edge, 1.0)
-            lanes = self._lane_state(edge, owner)
-            arrival = clock[0]
-            waits, new_busy = multi_server_waits_scalar(
-                lanes, clock, serialization
-            )
-            lanes[:] = new_busy
-            self._transfers[edge] += n
-            hop_wait = float(np.asarray(waits).sum())
-            self._queued_cycles[edge] += hop_wait
-            self._busy_cycles[edge] += serialization * n
-            stalled = 0
-            for index in range(n):
-                wait = waits[index]
-                if wait > 0.0:
-                    stalled += 1
-                extras[index] += wait
-                clock[index] += wait + serialization
-            if self.metrics is not None and hop_wait > 0.0:
-                self.metrics.count_stall(
-                    self._edge_keys[edge], hop_wait, events=stalled
-                )
-            if self.tracer is not None and hop_wait > 0.0:
-                a, b = sorted(edge)
-                self.tracer.emit(
-                    "nvlink_stall_batch",
-                    "nvlink",
-                    arrival,
-                    dur=hop_wait,
-                    gpu=src_gpu,
-                    args={
-                        "src": src_gpu,
-                        "dst": dst_gpu,
-                        "hop": hop,
-                        "link": [a, b],
-                        "hops": len(route),
-                        "transfers": n,
-                    },
-                )
-        result = np.asarray(extras, dtype=np.float64)
-        result += (len(route) - 1) * self.spec.timing.per_extra_hop
-        return result
+        if src_gpu == dst_gpu or stamps.size == 0:
+            return np.zeros(stamps.size, dtype=np.float64)
+        return self.route_state(src_gpu, dst_gpu, owner).advance_batch(stamps)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -35,14 +35,16 @@ WIDE_BURST = 64
 
 
 class _EpochPlan:
-    """Precomputed layout of one ProbeEpoch's flattened access stream.
+    """Precomputed layout of one burst's flattened access stream.
 
-    A prober block re-yields the *same* ``(buffer, sets)`` pair every
-    sweep, so the flatten/translate work (set counts, offsets, flat word
-    indices, physical line addresses) is loop-invariant.  Plans are cached
-    by the buffer's generation token plus the sets tuple's identity: the
-    token is never recycled (unlike ``id()``), so a freed-and-reallocated
-    buffer can never be served another allocation's physical addresses.
+    Every L2 burst reaches the router as a plan; a ProbeSet is a one-set
+    plan built per call.  A prober block re-yields the *same*
+    ``(buffer, sets)`` pair every sweep, so the flatten/translate work
+    (set counts, offsets, flat word indices, physical line addresses) is
+    loop-invariant.  Epoch plans are cached by the buffer's generation
+    token plus the sets tuple's identity: the token is never recycled
+    (unlike ``id()``), so a freed-and-reallocated buffer can never be
+    served another allocation's physical addresses.
     """
 
     __slots__ = (
@@ -59,23 +61,30 @@ class _EpochPlan:
         self._cache_plan_l2 = None
         self._small_plan = None
         self._small_plan_l2 = None
-        set_lists = [
-            indices if hasattr(indices, "__len__") else list(indices)
+        set_arrays = [
+            np.asarray(
+                indices if hasattr(indices, "__len__") else list(indices),
+                dtype=np.int64,
+            )
             for indices in sets
         ]
-        self.counts = np.asarray([len(s) for s in set_lists], dtype=np.int64)
-        self.offsets = np.zeros(len(set_lists), dtype=np.int64)
-        if len(set_lists):
+        counts = [indices.size for indices in set_arrays]
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.offsets = np.zeros(len(counts), dtype=np.int64)
+        if len(counts) > 1:
             np.cumsum(self.counts[:-1], out=self.offsets[1:])
-        if self.counts.sum():
-            self.flat = np.concatenate(
-                [np.asarray(s, dtype=np.int64) for s in set_lists if len(s)]
-            )
+        total = sum(counts)
+        if total:
+            # A ProbeSet is one set: skip the concatenate copy.
+            if len(set_arrays) == 1:
+                self.flat = set_arrays[0]
+            else:
+                self.flat = np.concatenate(set_arrays)
             self.paddrs = buffer.paddrs(self.flat)
         else:
             self.flat = np.empty(0, dtype=np.int64)
             self.paddrs = np.empty(0, dtype=np.int64)
-        self.positions = np.arange(self.paddrs.size, dtype=np.float64)
+        self.positions = np.arange(total, dtype=np.float64)
 
     def paddr_list(self):
         """Flat physical addresses as a Python list (scalar-core fuel)."""
@@ -275,14 +284,7 @@ class MultiGPUSystem:
         L1 is consulted first and, on a hit, the L2 is never reached -- the
         visibility problem the paper's use of ``__ldcg`` avoids.
         """
-        home = buffer.device_id
-        remote = exec_gpu != home
-        if remote and not process.has_peer_access(exec_gpu, home):
-            raise PeerAccessError(
-                f"process {process.name!r} has no peer access from GPU "
-                f"{exec_gpu} to GPU {home}"
-            )
-
+        home, remote = self._peer_home(process, buffer, exec_gpu)
         home_gpu = self.gpus[home]
         paddr = buffer.paddr(index)
 
@@ -358,65 +360,24 @@ class MultiGPUSystem:
         """Service a burst of loads (one eviction-set traversal or trace
         batch) with one call.
 
-        Semantically identical to looping :meth:`access_word`, but the hot
-        constants are hoisted and no per-access result objects are built.
-        With a vectorized L2 backend the whole burst is serviced with
-        array operations (one jitter draw, one tag-matrix pass, one
-        occupancy scan per resource) instead of a per-access Python loop.
-        Returns ``(latencies, hits, total_latency, remote)``.
+        Semantically identical to looping :meth:`access_word`, but the
+        burst goes through the shared router (:meth:`_service`) as a
+        one-set stream: the hot constants are hoisted and no per-access
+        result objects are built.  The plan is built per call and never
+        enters the epoch-plan cache, whose entries belong to the prober's
+        re-yielded sweeps.  Returns ``(latencies, hits, total_latency,
+        remote)``.
         """
-        home = buffer.device_id
-        remote = exec_gpu != home
-        if remote and not process.has_peer_access(exec_gpu, home):
-            raise PeerAccessError(
-                f"process {process.name!r} has no peer access from GPU "
-                f"{exec_gpu} to GPU {home}"
-            )
-        home_gpu = self.gpus[home]
-        if not hasattr(indices, "__len__"):
-            indices = list(indices)
-        count = len(indices)
-        if count == 0:
+        home, remote = self._peer_home(process, buffer, exec_gpu)
+        plan = _EpochPlan(buffer, (indices,))
+        if plan.paddrs.size == 0:
             return [], [], 0.0, remote
-
-        # Below ~32 accesses the array machinery costs more than it saves
-        # (a covert-channel probe is 4-16 lines); the scalar core drives
-        # the same cache state through VectorL2Cache.access, so the
-        # backends stay exactly equivalent either way.
-        if isinstance(home_gpu.l2, VectorL2Cache) and count >= 32:
-            index_array = np.asarray(indices, dtype=np.int64)
-            paddrs = buffer.paddrs(index_array)
-            stamps = self._issue_stamps(count, now, parallel, issue_gap)
-            latencies, hits, misses, evictions = self._service_batch_vector(
-                home_gpu, exec_gpu, home, remote, paddrs, stamps, process.pid
-            )
-            latencies_out = latencies.tolist()
-            hits_out = hits.tolist()
-            if parallel:
-                total = float(
-                    np.max(
-                        np.arange(count, dtype=np.float64) * issue_gap + latencies
-                    )
-                )
-            else:
-                total = float(np.cumsum(latencies)[-1])
-        else:
-            if parallel:
-                stamps = [now + at * issue_gap for at in range(count)]
-            else:
-                stamps = [float(now)] * count
-            paddrs = [buffer.paddr(index) for index in indices]
-            latencies_out, hits_out, misses, evictions = self._service_batch_scalar(
-                home_gpu, exec_gpu, home, remote, paddrs, stamps, process.pid
-            )
-            if parallel:
-                total = max(
-                    at * issue_gap + lat for at, lat in enumerate(latencies_out)
-                )
-            else:
-                total = float(sum(latencies_out))
-        self._count_batch(home_gpu, exec_gpu, remote, count, misses, evictions, now)
-        return latencies_out, hits_out, total, remote
+        latencies, hits, total, _ = self._service(
+            plan, home, remote, exec_gpu, now, parallel, issue_gap, process.pid
+        )
+        if isinstance(latencies, np.ndarray):
+            latencies, hits = latencies.tolist(), hits.tolist()
+        return latencies, hits, total, remote
 
     def access_epoch(
         self,
@@ -432,8 +393,8 @@ class MultiGPUSystem:
 
         This is the multi-set fast path behind
         :class:`~repro.sim.ops.ProbeEpoch`: the accesses of every set are
-        concatenated into one batch and serviced together, so a whole
-        monitored block's sweep costs one vectorized pass instead of
+        concatenated into one stream and serviced by the shared router,
+        so a whole monitored block's sweep costs one pass instead of
         ``sets x associativity`` Python iterations.
 
         Issue semantics: in parallel mode the epoch pipelines all sets at
@@ -444,58 +405,35 @@ class MultiGPUSystem:
         (the atomic-probe convention, see ``docs/architecture.md``) and
         per-set totals are the sums of their chase latencies.
         """
-        home = buffer.device_id
-        remote = exec_gpu != home
-        if remote and not process.has_peer_access(exec_gpu, home):
-            raise PeerAccessError(
-                f"process {process.name!r} has no peer access from GPU "
-                f"{exec_gpu} to GPU {home}"
-            )
-        home_gpu = self.gpus[home]
+        home, remote = self._peer_home(process, buffer, exec_gpu)
         plan = self._epoch_plan(buffer, sets)
-        counts, offsets = plan.counts, plan.offsets
-        count = int(counts.sum())
-        if count == 0:
+        if plan.paddrs.size == 0:
             return EpochResult(remote=remote)
-        stamps = self._issue_stamps(count, now, parallel, issue_gap)
-
-        if isinstance(home_gpu.l2, VectorL2Cache):
-            latencies, hits, misses, evictions = self._service_batch_vector(
-                home_gpu, exec_gpu, home, remote, plan.paddrs, stamps, process.pid,
-                cache_plan=plan.cache_plan(home_gpu.l2),
-            )
-        else:
-            paddrs = [buffer.paddr(int(index)) for index in plan.flat]
-            lat_list, hit_list, misses, evictions = self._service_batch_scalar(
-                home_gpu, exec_gpu, home, remote, paddrs, stamps.tolist(), process.pid
-            )
-            latencies = np.asarray(lat_list)
-            hits = np.asarray(hit_list, dtype=bool)
-
+        latencies, hits, total, _ = self._service(
+            plan, home, remote, exec_gpu, now, parallel, issue_gap, process.pid
+        )
+        latencies = np.asarray(latencies, dtype=np.float64)
+        counts, offsets = plan.counts, plan.offsets
         live = counts > 0
         starts_at = offsets[live]
+        set_totals = np.zeros(len(counts), dtype=np.float64)
         if parallel:
-            positions = np.arange(count, dtype=np.float64)
             rel_finish = (
-                positions - np.repeat(offsets[live].astype(np.float64), counts[live])
+                plan.positions
+                - np.repeat(starts_at.astype(np.float64), counts[live])
             ) * issue_gap + latencies
-            set_totals = np.zeros(len(counts), dtype=np.float64)
             set_totals[live] = np.maximum.reduceat(rel_finish, starts_at)
             set_starts = offsets.astype(np.float64) * issue_gap
-            total = float(np.max(positions * issue_gap + latencies))
         else:
-            set_totals = np.zeros(len(counts), dtype=np.float64)
             set_totals[live] = np.add.reduceat(latencies, starts_at)
             set_starts = np.zeros(len(counts), dtype=np.float64)
             np.cumsum(set_totals[:-1], out=set_starts[1:])
-            total = float(np.cumsum(latencies)[-1])
 
-        self._count_batch(home_gpu, exec_gpu, remote, count, misses, evictions, now)
         bounds = [(int(o), int(o + c)) for o, c in zip(offsets, counts)]
         # Convert once, then slice Python lists: far cheaper than one
         # ndarray slice + tolist per set.
         lat_list = latencies.tolist()
-        hit_list = hits.tolist() if isinstance(hits, np.ndarray) else list(hits)
+        hit_list = np.asarray(hits, dtype=bool).tolist()
         return EpochResult(
             set_latencies=tuple(tuple(lat_list[lo:hi]) for lo, hi in bounds),
             set_hits=tuple(tuple(hit_list[lo:hi]) for lo, hi in bounds),
@@ -555,78 +493,20 @@ class MultiGPUSystem:
         """Service one epoch burst (the :class:`~repro.sim.ops.EpochBurst`
         core behind the engine's epoch cursor).
 
-        Identical access semantics to :meth:`access_epoch` -- same flat
-        issue order, same stamps, same latency assembly -- but returns raw
-        arrays instead of building an :class:`EpochResult`, so a cursor
-        can record thousands of bursts columnar-style.  Returns
+        Identical access semantics to :meth:`access_epoch` -- the same
+        router over the same cached plan -- but returns the router's raw
+        rows instead of building an :class:`EpochResult`, so a cursor can
+        record thousands of bursts columnar-style.  Returns
         ``(latencies, hits, total, remote, scalar_fallback)``.
         """
-        home = buffer.device_id
-        remote = exec_gpu != home
-        if remote and not process.has_peer_access(exec_gpu, home):
-            raise PeerAccessError(
-                f"process {process.name!r} has no peer access from GPU "
-                f"{exec_gpu} to GPU {home}"
-            )
-        home_gpu = self.gpus[home]
+        home, remote = self._peer_home(process, buffer, exec_gpu)
         plan = self._epoch_plan(buffer, sets)
-        count = plan.paddrs.size
-        if count == 0:
+        if plan.paddrs.size == 0:
             empty = np.empty(0, dtype=np.float64)
             return empty, np.empty(0, dtype=bool), 0.0, remote, False
-        vector_l2 = isinstance(home_gpu.l2, VectorL2Cache)
-        if (
-            vector_l2
-            and count >= WIDE_BURST
-            and count
-            >= WIDE_BURST * len(plan.cache_plan(home_gpu.l2).lines.segments)
-        ):
-            # Wide bursts only: the vector path costs a fixed amount per
-            # burst plus one tag-store pass per segment, the fused loop
-            # below a little per access.  A covert prime (``ways`` lines
-            # of one set) stays in the loop.
-            stamps = now + plan.positions * issue_gap if parallel else np.full(
-                count, float(now)
-            )
-            latencies, hits, misses, evictions = self._service_batch_vector(
-                home_gpu, exec_gpu, home, remote, plan.paddrs, stamps,
-                process.pid, cache_plan=plan.cache_plan(home_gpu.l2),
-            )
-            if parallel:
-                total = float(np.max(plan.positions * issue_gap + latencies))
-            else:
-                total = float(np.cumsum(latencies)[-1])
-            scalar_fallback = False
-        elif vector_l2:
-            # Small burst (a covert prime/probe is 4-16 lines): a fused
-            # per-access loop with the set/tag/bank decode hoisted into
-            # the plan.  Drives identical tag-store, bank, HBM and link
-            # state as the reference loop -- same jitter draw order, same
-            # float expression order -- minus the per-access plumbing.
-            latencies, hits, misses, evictions, total = self._service_burst_small(
-                home_gpu, exec_gpu, home, remote, plan, now, parallel,
-                issue_gap, process.pid,
-            )
-            scalar_fallback = False
-        else:
-            # Non-LRU home L2: the reference per-access loop is the only
-            # core that speaks every replacement policy.
-            if parallel:
-                stamps_list = [now + at * issue_gap for at in range(count)]
-            else:
-                stamps_list = [float(now)] * count
-            latencies, hits, misses, evictions = self._service_batch_scalar(
-                home_gpu, exec_gpu, home, remote, plan.paddr_list(),
-                stamps_list, process.pid,
-            )
-            if parallel:
-                total = max(
-                    at * issue_gap + lat for at, lat in enumerate(latencies)
-                )
-            else:
-                total = float(sum(latencies))
-            scalar_fallback = True
-        self._count_batch(home_gpu, exec_gpu, remote, count, misses, evictions, now)
+        latencies, hits, total, scalar_fallback = self._service(
+            plan, home, remote, exec_gpu, now, parallel, issue_gap, process.pid
+        )
         return latencies, hits, total, remote, scalar_fallback
 
     def probe_link(
@@ -812,69 +692,119 @@ class MultiGPUSystem:
         return latencies, total
 
     # ------------------------------------------------------------------
-    # Batch service cores (shared by access_batch and access_epoch)
+    # The burst router and its service cores
     # ------------------------------------------------------------------
-    @staticmethod
-    def _issue_stamps(
-        count: int, now: float, parallel: bool, issue_gap: float
-    ) -> np.ndarray:
-        if parallel:
-            return now + np.arange(count, dtype=np.float64) * issue_gap
-        return np.full(count, float(now))
+    def _peer_home(self, process: Process, buffer: DeviceBuffer, exec_gpu: int):
+        """``(home, remote)`` of an access; raises before any translation."""
+        home = buffer.device_id
+        remote = exec_gpu != home
+        if remote and not process.has_peer_access(exec_gpu, home):
+            raise PeerAccessError(
+                f"process {process.name!r} has no peer access from GPU "
+                f"{exec_gpu} to GPU {home}"
+            )
+        return home, remote
 
-    def _service_batch_vector(
-        self,
-        home_gpu: GPU,
-        exec_gpu: int,
-        home: int,
-        remote: bool,
-        paddrs: np.ndarray,
-        stamps: np.ndarray,
-        owner: Optional[int] = None,
-        cache_plan=None,
-    ):
-        """Vectorized service of one batch; returns arrays + counts.
-
-        ``cache_plan`` (from :meth:`VectorL2Cache.plan_epoch`) skips the
-        per-batch segment split when the caller reuses one access
-        stream sweep after sweep.
-        """
+    def _latency_bases(self, remote: bool):
+        """``(hit_base, miss_base, hit_sigma, miss_sigma)`` for a burst."""
         timing = self.spec.timing
-        if cache_plan is not None:
-            hits, evictions, bank_waits = home_gpu.l2.access_lines_planned(
-                cache_plan, stamps
-            )
-        else:
-            hits, evictions, bank_waits, _sets = home_gpu.l2.access_lines(
-                paddrs, stamps
-            )
-        jitter = self._jitter.take(paddrs.size)
         if remote:
-            hit_base, miss_base = timing.remote_l2_hit, timing.remote_dram
-            hit_sigma, miss_sigma = (
+            return (
+                timing.remote_l2_hit,
+                timing.remote_dram,
                 timing.jitter_remote_hit,
                 timing.jitter_remote_miss,
             )
-        else:
-            hit_base, miss_base = timing.local_l2_hit, timing.local_dram
-            hit_sigma, miss_sigma = timing.jitter_local_hit, timing.jitter_local_miss
-        latencies = np.where(
-            hits, hit_base + hit_sigma * jitter, miss_base + miss_sigma * jitter
+        return (
+            timing.local_l2_hit,
+            timing.local_dram,
+            timing.jitter_local_hit,
+            timing.jitter_local_miss,
         )
-        latencies += bank_waits
-        missed = ~hits
-        if missed.any():
-            latencies[missed] += home_gpu.hbm.occupy_batch(
-                paddrs[missed], stamps[missed]
+
+    def _service(
+        self,
+        plan: _EpochPlan,
+        home: int,
+        remote: bool,
+        exec_gpu: int,
+        now: float,
+        parallel: bool,
+        issue_gap: float,
+        owner: int,
+    ):
+        """The one L2 burst router behind ProbeSet, ProbeEpoch and EpochBurst.
+
+        Services ``plan``'s non-empty flat stream on one of three cores,
+        all bit-identical in results and state: a non-LRU home L2 takes
+        the reference per-access loop (the only core that speaks every
+        replacement policy); a burst of at least :data:`WIDE_BURST`
+        accesses per tag-store segment takes the wide vector core; every
+        narrower burst (a covert prime/probe is 4-16 lines) takes the
+        fused small core.  Returns ``(latencies, hits, total,
+        scalar_fallback)`` -- arrays from the wide core, lists otherwise.
+        """
+        home_gpu = self.gpus[home]
+        l2 = home_gpu.l2
+        count = plan.paddrs.size
+        if not isinstance(l2, VectorL2Cache):
+            if parallel:
+                stamps = [now + at * issue_gap for at in range(count)]
+            else:
+                stamps = [float(now)] * count
+            latencies, hits, misses, evictions = self._service_batch_scalar(
+                home_gpu, exec_gpu, home, remote, plan.paddr_list(), stamps, owner
             )
-        if remote:
-            latencies += self.interconnect.transfer_batch(
-                exec_gpu, home, stamps, owner=owner
+            if parallel:
+                total = max(at * issue_gap + lat for at, lat in enumerate(latencies))
+            else:
+                total = float(sum(latencies))
+            scalar_fallback = True
+        elif count >= WIDE_BURST and count >= WIDE_BURST * len(
+            plan.cache_plan(l2).lines.segments
+        ):
+            # The wide core costs a fixed amount per burst plus one
+            # tag-store pass per segment; the fused loop a little per
+            # access (docs/performance.md, "Burst width").
+            if parallel:
+                stamps = now + plan.positions * issue_gap
+            else:
+                stamps = np.full(count, float(now))
+            hits, evicted, bank_waits = l2.access_lines_planned(
+                plan.cache_plan(l2), stamps
             )
-        if self._latency_scale is not None:
-            latencies *= self._latency_scale[exec_gpu]
-        np.maximum(latencies, 1.0, out=latencies)
-        return latencies, hits, int(missed.sum()), int(evictions.sum())
+            hit_base, miss_base, hit_sigma, miss_sigma = self._latency_bases(remote)
+            jitter = self._jitter.take(count)
+            latencies = np.where(
+                hits, hit_base + hit_sigma * jitter, miss_base + miss_sigma * jitter
+            )
+            latencies += bank_waits
+            missed = ~hits
+            if missed.any():
+                latencies[missed] += home_gpu.hbm.occupy_batch(
+                    plan.paddrs[missed], stamps[missed]
+                )
+            if remote:
+                latencies += self.interconnect.transfer_batch(
+                    exec_gpu, home, stamps, owner=owner
+                )
+            if self._latency_scale is not None:
+                latencies *= self._latency_scale[exec_gpu]
+            np.maximum(latencies, 1.0, out=latencies)
+            misses, evictions = int(missed.sum()), int(evicted.sum())
+            if parallel:
+                total = float(np.max(plan.positions * issue_gap + latencies))
+            else:
+                total = float(np.cumsum(latencies)[-1])
+            scalar_fallback = False
+        else:
+            latencies, hits, misses, evictions, total = self._service_burst_small(
+                home_gpu, exec_gpu, home, remote, plan, now, parallel,
+                issue_gap, owner,
+            )
+            scalar_fallback = False
+        self._count_batch(home_gpu, exec_gpu, remote, count, misses, evictions, now)
+        return latencies, hits, total, scalar_fallback
 
     def _service_batch_scalar(
         self,
@@ -887,21 +817,11 @@ class MultiGPUSystem:
         owner: int,
     ):
         """Reference per-access loop; returns lists + counts."""
-        timing = self.spec.timing
         cache_access = home_gpu.l2.access
         hbm_occupy = home_gpu.hbm.occupy
         transfer = self.interconnect.transfer
         jitter_next = self._jitter.next
-        if remote:
-            hit_base, miss_base = timing.remote_l2_hit, timing.remote_dram
-            hit_sigma, miss_sigma = (
-                timing.jitter_remote_hit,
-                timing.jitter_remote_miss,
-            )
-        else:
-            hit_base, miss_base = timing.local_l2_hit, timing.local_dram
-            hit_sigma, miss_sigma = timing.jitter_local_hit, timing.jitter_local_miss
-
+        hit_base, miss_base, hit_sigma, miss_sigma = self._latency_bases(remote)
         scale = (
             1.0
             if self._latency_scale is None
@@ -947,7 +867,7 @@ class MultiGPUSystem:
         issue_gap: float,
         owner: int,
     ):
-        """Fused per-access loop for sub-threshold epoch bursts.
+        """Fused per-access loop for bursts below the wide threshold.
 
         Step-for-step equivalent to :meth:`_service_batch_scalar` over
         the same stream against a :class:`VectorL2Cache` home -- the
@@ -960,7 +880,6 @@ class MultiGPUSystem:
         accesses a prime/probe burst is made of (and kept in sync with
         fills), where the reference loop re-materializes it per access.
         """
-        timing = self.spec.timing
         l2 = home_gpu.l2
         store = l2._store
         tags_matrix = store._tags
@@ -971,15 +890,7 @@ class MultiGPUSystem:
         hbm_occupy = home_gpu.hbm.occupy
         transfer = self.interconnect.transfer
         jitter_next = self._jitter.next
-        if remote:
-            hit_base, miss_base = timing.remote_l2_hit, timing.remote_dram
-            hit_sigma, miss_sigma = (
-                timing.jitter_remote_hit,
-                timing.jitter_remote_miss,
-            )
-        else:
-            hit_base, miss_base = timing.local_l2_hit, timing.local_dram
-            hit_sigma, miss_sigma = timing.jitter_local_hit, timing.jitter_local_miss
+        hit_base, miss_base, hit_sigma, miss_sigma = self._latency_bases(remote)
         scale = (
             1.0
             if self._latency_scale is None

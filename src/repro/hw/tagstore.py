@@ -63,12 +63,6 @@ __all__ = ["LruTagStore", "BurstPlan"]
 
 _INVALID = -1
 
-#: :meth:`LruTagStore.access_lines` walks bursts shorter than this with
-#: :meth:`LruTagStore.access_one`: below it, building a plan and running
-#: the kernel costs more than the walk (docs/performance.md, "The one-pass
-#: LRU burst kernel").
-PLAN_MIN = 64
-
 
 class _Segment:
     """State-independent layout of one segment (distinct (set, tag) pairs).
@@ -199,16 +193,7 @@ class LruTagStore:
         arrays: whether each access hit, and whether it evicted a valid
         line (a fill into an invalid way is a miss without an eviction).
         """
-        n = set_indices.size
-        if n >= PLAN_MIN:
-            return self.access_lines_planned(self.plan(set_indices, tags))
-        hits = np.zeros(n, dtype=bool)
-        evictions = np.zeros(n, dtype=bool)
-        for at, (row, tag) in enumerate(zip(set_indices.tolist(), tags.tolist())):
-            hit, evicted = self.access_one(row, tag)
-            hits[at] = hit
-            evictions[at] = evicted is not None
-        return hits, evictions
+        return self.access_lines_planned(self.plan(set_indices, tags))
 
     def access_lines_planned(self, plan: BurstPlan) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`access_lines` over a precomputed :class:`BurstPlan`.

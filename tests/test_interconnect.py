@@ -110,6 +110,14 @@ class _RecordingTracer:
         self.events.append((name, ts, dur, args))
 
 
+class _RecordingMetrics:
+    def __init__(self):
+        self.stalls = []
+
+    def count_stall(self, link_key, wait_cycles, events=1):
+        self.stalls.append((link_key, wait_cycles, events))
+
+
 class TestBatchDifferential:
     """transfer_batch must be cycle-equivalent to sequential transfer."""
 
@@ -140,6 +148,22 @@ class TestBatchDifferential:
             assert batched._queued_cycles[edge] == pytest.approx(
                 sequential._queued_cycles[edge]
             )
+
+    def test_transfer_charges_each_hop_its_own_stall(self):
+        topo, batched, scalar = self._pair()
+        route = topo.path(0, 2)
+        assert len(route) == 2
+        a, b = sorted(route[1])
+        assert topo.hops(a, b) == 1
+        # Fill the second link's lanes only; the first hop stays free.
+        for icx in (batched, scalar):
+            icx.transfer_batch(a, b, np.zeros(4))
+            icx.metrics = _RecordingMetrics()
+        scalar.transfer(0, 2, 0.0)
+        batched.transfer_batch(0, 2, np.zeros(1))
+        assert scalar.metrics.stalls == batched.metrics.stalls
+        [(key, wait, events)] = scalar.metrics.stalls
+        assert key == f"link{a}-{b}" and wait > 0.0 and events == 1
 
     def test_batch_emits_per_hop_stall_events(self):
         topo, batched, _ = self._pair()

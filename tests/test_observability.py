@@ -21,6 +21,7 @@ from repro.config import DGXSpec
 from repro.core.covert.channel import CovertChannel
 from repro.core.covert.encoding import text_to_bits
 from repro.core.covert.resilient import ResilientCovertChannel
+from repro.defense.partitioning import enable_lane_partitioning
 from repro.experiments.executor import ProgressEvent, run_experiments
 from repro.runtime.api import Runtime
 from repro.sim.ops import Sleep
@@ -179,6 +180,21 @@ class TestAttackMetricsWiring:
         assert runtime.system.interconnect.metrics is metrics
         assert detach_metrics(runtime) is metrics
         assert runtime.engine.metrics is None
+
+    def test_lane_partitioning_keeps_stall_metrics(self, runtime):
+        metrics = attach_metrics(runtime)
+        fabric = enable_lane_partitioning(runtime.system, num_slices=2)
+        assert fabric.metrics is metrics
+        # One owner floods its lane group: every transfer past the
+        # group's lanes queues, and the stall must reach the registry.
+        fabric.transfer_batch(0, 1, np.zeros(8), owner=0)
+        snap = metrics.registry.snapshot()
+        stalls = {
+            key: value
+            for key, value in snap.items()
+            if key.startswith("nvlink_stall_events_total")
+        }
+        assert sum(stalls.values()) > 0, snap
 
     def test_covert_run_populates_registry(self):
         rt, channel = _covert_runtime()
